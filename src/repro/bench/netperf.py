@@ -188,9 +188,10 @@ def find_overflow_offset(linked: LinkedProgram, *, max_len: int = 2400) -> Optio
     emu.memory.write(optarg_addr, bytes(pattern))
     emu.memory.write_u64(len_addr, len(pattern))
     try:
-        while True:
-            emu.step()
+        emu.run()
     except Exception:
+        # The crash leaves rip at the pattern word the smashed return
+        # address popped; a clean exit means the overflow never fired.
         rip = emu.cpu.rip
         if rip >> 24 == 0x1000000000000 >> 24:
             return offset_of_counter.get(rip & 0xFFFFFF)

@@ -8,6 +8,9 @@ from typing import Dict, List, Tuple
 
 PAGE_SIZE = 0x1000
 PAGE_MASK = ~(PAGE_SIZE - 1)
+_OFFSET_MASK = PAGE_SIZE - 1
+_MASK64 = (1 << 64) - 1
+_U64 = struct.Struct("<Q")
 
 PERM_R = 1
 PERM_W = 2
@@ -48,10 +51,17 @@ class Memory:
         self._pages: Dict[int, bytearray] = {}
         self._perms: Dict[int, int] = {}
         self._regions: List[Region] = []
-        #: Bumped whenever a write lands in an executable page; the
-        #: emulator uses it to invalidate its decoded-instruction cache
-        #: (self-modifying code support).
+        #: Bumped whenever a write lands in an executable page and
+        #: whenever a page's execute permission changes; the emulator
+        #: drops its decoded-instruction cache when it moves
+        #: (self-modifying code, mprotect).
         self.exec_write_gen = 0
+
+    def _set_perms(self, page: int, perms: int) -> None:
+        old = self._perms.get(page)
+        if old is not None and (old ^ perms) & PERM_X:
+            self.exec_write_gen += 1
+        self._perms[page] = perms
 
     def map(self, start: int, size: int, perms: int) -> None:
         """Map ``[start, start+size)`` with the given permissions."""
@@ -61,7 +71,7 @@ class Memory:
         last = (start + size - 1) & PAGE_MASK
         page = first
         while page <= last:
-            self._perms[page] = perms
+            self._set_perms(page, perms)
             page += PAGE_SIZE
         self._regions.append(Region(start=start, size=size, perms=perms))
 
@@ -73,7 +83,7 @@ class Memory:
         while page <= last:
             if page not in self._perms:
                 raise MemoryFault(page, "mprotect of unmapped page")
-            self._perms[page] = perms
+            self._set_perms(page, perms)
             page += PAGE_SIZE
 
     def mappings(self) -> Tuple[Region, ...]:
@@ -168,17 +178,50 @@ class Memory:
             remaining -= take
 
     # -- typed accessors ----------------------------------------------------
+    #
+    # Each accessor first tries an access that stays inside one page that
+    # is already allocated and has the permission it needs; anything else
+    # (a page-crossing access, a fault, a first touch) goes through
+    # read/write, which raise the faults and allocate pages.
 
     def read_u64(self, addr: int) -> int:
-        return struct.unpack("<Q", self.read(addr, 8))[0]
+        off = addr & _OFFSET_MASK
+        if off <= PAGE_SIZE - 8:
+            page = self._pages.get(addr - off)
+            if page is not None and self._perms.get(addr - off, 0) & PERM_R:
+                return _U64.unpack_from(page, off)[0]
+        return _U64.unpack(self.read(addr, 8))[0]
 
     def write_u64(self, addr: int, value: int) -> None:
-        self.write(addr, struct.pack("<Q", value & ((1 << 64) - 1)))
+        off = addr & _OFFSET_MASK
+        if off <= PAGE_SIZE - 8:
+            page = self._pages.get(addr - off)
+            if page is not None:
+                perms = self._perms.get(addr - off, 0)
+                if perms & PERM_W:
+                    if perms & PERM_X:
+                        self.exec_write_gen += 1
+                    _U64.pack_into(page, off, value & _MASK64)
+                    return
+        self.write(addr, _U64.pack(value & _MASK64))
 
     def read_u8(self, addr: int) -> int:
+        off = addr & _OFFSET_MASK
+        page = self._pages.get(addr - off)
+        if page is not None and self._perms.get(addr - off, 0) & PERM_R:
+            return page[off]
         return self.read(addr, 1)[0]
 
     def write_u8(self, addr: int, value: int) -> None:
+        off = addr & _OFFSET_MASK
+        page = self._pages.get(addr - off)
+        if page is not None:
+            perms = self._perms.get(addr - off, 0)
+            if perms & PERM_W:
+                if perms & PERM_X:
+                    self.exec_write_gen += 1
+                page[off] = value & 0xFF
+                return
         self.write(addr, bytes([value & 0xFF]))
 
     def read_cstring(self, addr: int, max_len: int = 4096) -> bytes:

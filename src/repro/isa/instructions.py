@@ -215,6 +215,14 @@ OP_TABLE: dict[Op, OpInfo] = {
     Op.JNS: _info(Op.JNS, "jns", OperandLayout.REL32),
 }
 
+#: Static info and encoded size indexed by opcode byte: list indexing by
+#: the ``IntEnum`` skips the enum hashing a dict lookup pays per call.
+_INFO_BY_CODE: list[Optional[OpInfo]] = [None] * 256
+_SIZE_BY_CODE = [0] * 256
+for _op, _op_info in OP_TABLE.items():
+    _INFO_BY_CODE[_op] = _op_info
+    _SIZE_BY_CODE[_op] = _op_info.size
+
 #: Conditional direct jumps.
 COND_JUMPS = frozenset(
     {Op.JE, Op.JNE, Op.JL, Op.JLE, Op.JG, Op.JGE, Op.JB, Op.JBE, Op.JA, Op.JAE, Op.JS, Op.JNS}
@@ -251,23 +259,23 @@ class Instruction:
 
     @property
     def info(self) -> OpInfo:
-        return OP_TABLE[self.op]
+        return _INFO_BY_CODE[self.op]
 
     @property
     def size(self) -> int:
-        return self.info.size
+        return _SIZE_BY_CODE[self.op]
 
     @property
     def end(self) -> int:
         """Address of the byte just past this instruction."""
-        return self.addr + self.size
+        return self.addr + _SIZE_BY_CODE[self.op]
 
     @property
     def target(self) -> Optional[int]:
         """Absolute target of a direct jump/call, if applicable."""
         if self.rel is None:
             return None
-        return self.end + self.rel
+        return self.addr + _SIZE_BY_CODE[self.op] + self.rel
 
     def is_cond_jump(self) -> bool:
         return self.op in COND_JUMPS

@@ -206,16 +206,17 @@ def validate_payload(
     emu.cpu.rip = payload.entry_address
 
     try:
-        while True:
-            emu.step()
+        emu.run()
     except AttackTriggered as attack:
         event = attack.event
         payload.event = event
         payload.validated = _event_matches(event, resolved)
         return payload.validated
     except Exception:
-        payload.validated = False
-        return False
+        pass
+    # A clean exit or a crash: the chain never reached its goal syscall.
+    payload.validated = False
+    return False
 
 
 def _event_matches(event: SyscallEvent, resolved: ResolvedGoal) -> bool:

@@ -10,6 +10,7 @@ from repro.emulator import (
     Emulator,
     InvalidInstruction,
     MemoryFault,
+    PERM_R,
     ProcessExit,
     StepLimitExceeded,
     Sys,
@@ -431,6 +432,24 @@ def test_execute_from_data_faults():
     with pytest.raises(InvalidInstruction):
         for _ in range(3):
             emu.step()
+
+
+def test_protect_drops_cached_code_of_a_page_losing_execute():
+    emu = emu_for(
+        """
+    loop:
+        inc rbx
+        cmp rbx, 2
+        jne loop
+        """
+    )
+    for _ in range(3):
+        emu.step()
+    assert emu.cpu.rip == 0x400000  # back at the loop head, already decoded
+    emu.memory.protect(0x400000, 0x1000, PERM_R)
+    with pytest.raises(InvalidInstruction, match="non-executable"):
+        emu.step()
+    assert emu.cpu.rip == 0x400000
 
 
 def test_unmapped_access_faults():
