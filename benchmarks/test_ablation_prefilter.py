@@ -13,8 +13,9 @@ import time
 import pytest
 
 from repro.bench import BENCH_EXTRACTION, DEFAULT_SEED, netperf_image
-from repro.gadgets import ExtractionConfig, ExtractionStats, extract_gadgets
+from repro.gadgets import ExtractionConfig, ExtractionStats
 from repro.obfuscation.pipeline import CONFIGS
+from repro.pipeline import extract_pool
 
 CONFIG = "llvm_obf"
 
@@ -38,11 +39,11 @@ def test_ablation_semantic_prefilter(benchmark, record_table, image):
     def run():
         on_stats, off_stats = ExtractionStats(), ExtractionStats()
         t0 = time.perf_counter()
-        with_filter = extract_gadgets(
+        with_filter = extract_pool(
             image, _extraction(semantic_prefilter=True), on_stats
         )
         t1 = time.perf_counter()
-        without_filter = extract_gadgets(
+        without_filter = extract_pool(
             image, _extraction(semantic_prefilter=False), off_stats
         )
         t2 = time.perf_counter()

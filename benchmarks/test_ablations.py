@@ -11,8 +11,9 @@ Four knobs, each tested on the same obfuscated build:
 import pytest
 
 from repro.bench import BENCH_EXTRACTION, BENCH_PLANNER, build
-from repro.gadgets import ExtractionConfig, deduplicate_gadgets, extract_gadgets
+from repro.gadgets import ExtractionConfig
 from repro.gadgets.subsumption import SubsumptionStats
+from repro.pipeline import extract_pool, winnow_pool
 from repro.planner import GadgetPlanner, PlannerConfig
 
 PROGRAM, CONFIG = "hash_table", "llvm_obf"
@@ -35,9 +36,9 @@ def _extraction(**overrides):
 
 def test_ablation_subsumption(benchmark, record_table, image):
     def run():
-        records = extract_gadgets(image, _extraction())
+        records = extract_pool(image, _extraction())
         stats = SubsumptionStats()
-        deduped = deduplicate_gadgets(records, stats=stats)
+        deduped = winnow_pool(records, stats)
         return records, deduped, stats
 
     records, deduped, stats = benchmark.pedantic(run, iterations=1, rounds=1)
@@ -78,8 +79,8 @@ def test_ablation_conditional_gadgets(benchmark, record_table, image):
 
 def test_ablation_direct_jump_merging(benchmark, record_table, image):
     def run():
-        merged = extract_gadgets(image, _extraction(merge_direct_jumps=True))
-        unmerged = extract_gadgets(image, _extraction(merge_direct_jumps=False))
+        merged = extract_pool(image, _extraction(merge_direct_jumps=True))
+        unmerged = extract_pool(image, _extraction(merge_direct_jumps=False))
         return merged, unmerged
 
     merged, unmerged = benchmark.pedantic(run, iterations=1, rounds=1)

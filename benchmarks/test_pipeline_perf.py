@@ -1,19 +1,13 @@
-"""Pipeline performance — parallel sharding + persistent result cache.
+"""Pipeline performance — the persistent result cache.
 
-Measures the :mod:`repro.pipeline` fast paths on the obfuscated
-netperf-like target and records both the human-readable table and a
-machine-readable ``BENCH_pipeline.json`` so the perf trajectory is
-trackable across PRs.
-
-Honest-measurement policy: the multi-process speedup assertion is
-gated on ``os.cpu_count() >= 4`` — a 1-core CI runner cannot show a
-2x parallel win and recording ~1x there is the correct result, not a
-failure.  Byte-identity and warm-cache assertions are hardware
-independent and always enforced.
+Measures a cold and a warm :func:`repro.pipeline.run_pipeline` on the
+obfuscated netperf-like target and records both the human-readable
+table and a machine-readable ``BENCH_pipeline.json``, stamped with the
+git rev, ``PIPELINE_VERSION`` and ``cpu_count`` that produced it.  The
+warm-cache assertions are hardware independent and always enforced.
 """
 
 import json
-import os
 
 from repro.bench.harness import format_pipeline_bench, pipeline_benchmark
 
@@ -24,14 +18,9 @@ def test_pipeline_performance(benchmark, record_table, results_dir):
     (results_dir / "BENCH_pipeline.json").write_text(json.dumps(result, indent=2) + "\n")
     record_table(
         "BENCH_pipeline",
-        "Pipeline performance: parallel sharding + persistent cache",
+        "Pipeline performance: persistent result cache",
         format_pipeline_bench(result),
     )
-
-    # Byte-identity: every jobs level reproduces the serial pools.
-    for run in result["runs"]:
-        assert run["extract_identical"], f"jobs={run['jobs']} extraction pool differs"
-        assert run["winnow_identical"], f"jobs={run['jobs']} winnowed pool differs"
 
     # Warm cache: no symbolic execution, no solver work, >=10x faster.
     cache = result["cache"]
@@ -40,10 +29,3 @@ def test_pipeline_performance(benchmark, record_table, results_dir):
     assert cache["warm_solver_checks"] == 0
     assert cache["warm_identical"]
     assert cache["speedup"] >= 10.0, f"warm cache only {cache['speedup']:.1f}x faster"
-
-    # Parallel speedup needs parallel hardware to be measurable.
-    if (os.cpu_count() or 1) >= 4:
-        four = next(r for r in result["runs"] if r["jobs"] == 4)
-        assert four["extract_speedup"] >= 2.0, (
-            f"jobs=4 extraction only {four['extract_speedup']:.2f}x over serial"
-        )

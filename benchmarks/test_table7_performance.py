@@ -15,9 +15,10 @@ from repro.bench import (
     netperf_image,
     table7_performance,
 )
-from repro.gadgets import ExtractionConfig, ExtractionStats, extract_gadgets
+from repro.gadgets import ExtractionConfig, ExtractionStats
 from repro.gadgets.extract import candidate_offsets
 from repro.obfuscation.pipeline import CONFIGS
+from repro.pipeline import extract_pool
 from repro.staticanalysis import DecodeGraph
 
 
@@ -62,7 +63,7 @@ def test_extraction_stage_speedup(benchmark, record_table):
         shared = candidate_offsets(image, config, graph)
         t2 = time.perf_counter()
         stats = ExtractionStats()
-        extract_gadgets(image, config, stats)
+        extract_pool(image, config, stats)
         t3 = time.perf_counter()
         return legacy, shared, stats, t1 - t0, t2 - t1, t3 - t2
 

@@ -18,8 +18,9 @@ from ..isa.registers import Reg
 from ..symex.executor import EndKind
 from ..symex.expr import BVSym
 from ..symex.state import stack_sym_offset
-from ..gadgets.extract import ExtractionConfig, extract_gadgets
+from ..gadgets.extract import ExtractionConfig
 from ..gadgets.record import GadgetRecord
+from ..pipeline import extract_pool
 from ..planner.goals import ResolvedGoal
 from ..planner.payload import FILLER_WORD, AttackPayload
 from .common import BaselineTool
@@ -96,7 +97,7 @@ class AngropLike(BaselineTool):
         )
 
     def find_gadgets(self, image: BinaryImage) -> List[GadgetRecord]:
-        return extract_gadgets(image, self.extraction)
+        return extract_pool(image, self.extraction)
 
     def build_chains(
         self, image: BinaryImage, gadgets: List[GadgetRecord], resolved: ResolvedGoal

@@ -22,8 +22,9 @@ from ..solver.solver import Solver
 from ..symex.executor import EndKind
 from ..symex.expr import free_symbols
 from ..symex.state import is_controlled_symbol
-from ..gadgets.extract import ExtractionConfig, extract_gadgets
+from ..gadgets.extract import ExtractionConfig
 from ..gadgets.record import GadgetRecord
+from ..pipeline import extract_pool
 from ..planner.conditions import regress_equation
 from ..planner.goals import ResolvedGoal
 from ..planner.payload import AttackPayload, AssemblyError, assemble_payload
@@ -70,7 +71,7 @@ class SGCLike(BaselineTool):
         self.max_chains_per_goal = max_chains_per_goal
 
     def find_gadgets(self, image: BinaryImage) -> List[GadgetRecord]:
-        return extract_gadgets(image, self.extraction)
+        return extract_pool(image, self.extraction)
 
     # -- gadget selection -----------------------------------------------------
 

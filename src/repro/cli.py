@@ -6,8 +6,8 @@
     nfl run prog.nflf [--step-limit N]
     nfl disasm prog.nflf [--start ADDR] [--count N]
     nfl gadgets prog.nflf [--types]
-    nfl extract prog.nflf [--jobs N] [--cache-dir PATH] [--no-cache] [--trace FILE]
-    nfl census prog.nflf [--static] [--semantic] [--defenses [--policies P1,P2]] [--jobs N]
+    nfl extract prog.nflf [--cache-dir PATH] [--no-cache] [--trace FILE]
+    nfl census prog.nflf [--static] [--semantic] [--defenses [--policies P1,P2]]
     nfl plan prog.nflf [--goal execve|mprotect|mmap|all] [--defense POLICY] [--max-plans N]
     nfl fuzz [--seed N] [--iters N] [--oracle O1,O2] [--replay-corpus]
     nfl trace trace.jsonl
@@ -133,7 +133,6 @@ def _make_cache(args: argparse.Namespace) -> Optional[ResultCache]:
 
 def _pipeline_stats_line(es: ExtractionStats, ss: Optional[SubsumptionStats]) -> str:
     parts = [
-        f"jobs={es.jobs}",
         f"symex={es.symex_invocations}",
         f"culled={es.semantically_culled}/{es.candidates}",
         "cache=" + ("hit" if es.cache_hit else "miss" if es.cache_misses else "off"),
@@ -156,7 +155,6 @@ def cmd_extract(args: argparse.Namespace) -> int:
         records, survivors = run_pipeline(
             image,
             config,
-            jobs=args.jobs,
             cache=_make_cache(args),
             winnow=not args.no_winnow,
             extraction_stats=es,
@@ -187,7 +185,6 @@ def cmd_census(args: argparse.Namespace) -> int:
                 image,
                 policies,
                 extraction=config,
-                jobs=args.jobs or 1,
                 cache=_make_cache(args),
             )
         print(format_defense_census(doc, title=args.binary))
@@ -204,7 +201,6 @@ def cmd_census(args: argparse.Namespace) -> int:
             records, survivors = run_pipeline(
                 image,
                 config,
-                jobs=args.jobs,
                 cache=_make_cache(args),
                 extraction_stats=es,
                 winnow_stats=ss,
@@ -260,6 +256,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
             f"{report.leaks_used} leak(s) used"
         )
     print(f"validated payloads: {report.per_goal}")
+    print(f"assembly errors: {report.assembly_errors}")
     for payload in report.payloads:
         print()
         print(payload.describe())
@@ -334,13 +331,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes (default: os.cpu_count())",
-    )
-    p.add_argument(
         "--cache-dir",
         metavar="PATH",
         help="result cache root (default: ~/.cache/nfl or $NFL_CACHE_DIR)",
@@ -389,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-insns", type=int, default=8)
     p.set_defaults(func=cmd_gadgets)
 
-    p = sub.add_parser("extract", help="semantic gadget extraction (parallel + cached)")
+    p = sub.add_parser("extract", help="semantic gadget extraction + winnowing (cached)")
     p.add_argument("binary")
     p.add_argument("--max-insns", type=int, default=12)
     p.add_argument("--max-paths", type=int, default=6)

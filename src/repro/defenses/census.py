@@ -69,7 +69,6 @@ def defense_census(
     policies: Optional[Sequence[object]] = None,
     *,
     extraction: Optional[ExtractionConfig] = None,
-    jobs: int = 1,
     cache: Optional[ResultCache] = None,
 ) -> Dict:
     """Surviving-gadget counts per policy for one image (no planning)."""
@@ -79,13 +78,10 @@ def defense_census(
     sub_stats = SubsumptionStats()
     with span("defense.census") as sp:
         image_bytes = image.to_bytes() if cache is not None else None
-        pool = extract_pool(
-            image, extraction, ex_stats, jobs=jobs, cache=cache, image_bytes=image_bytes
-        )
+        pool = extract_pool(image, extraction, ex_stats, cache=cache, image_bytes=image_bytes)
         deduped = winnow_pool(
             pool,
             sub_stats,
-            jobs=jobs,
             cache=cache,
             image_bytes=image_bytes,
             config=extraction,
@@ -116,7 +112,6 @@ def defense_matrix_entry(
     goals=None,
     extraction: Optional[ExtractionConfig] = None,
     planner=None,
-    jobs: int = 1,
     cache: Optional[ResultCache] = None,
 ) -> List[Dict]:
     """One benchmark row per policy: surviving pool + planner outcomes.
@@ -133,7 +128,6 @@ def defense_matrix_entry(
             image,
             extraction=extraction,
             planner=planner,
-            jobs=jobs,
             cache=cache,
             defense=policy,
         )

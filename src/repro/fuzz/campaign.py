@@ -23,10 +23,11 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from ..emulator.cpu import Emulator
-from ..gadgets.extract import ExtractionConfig, extract_gadgets
+from ..gadgets.extract import ExtractionConfig
 from ..binfmt.image import make_image
 from ..isa.encoding import encode_program
 from ..obs import metrics, span
+from ..pipeline import extract_pool
 from .corpus import save_case
 from .gen import gen_bytes, gen_program, gen_window
 from .oracles import (
@@ -220,7 +221,7 @@ def run_fuzz(
                 if due("serialize", i):
                     case = Case(oracle="serialize", kind="image", text=text)
                     with span("fuzz.serialize"):
-                        records = extract_gadgets(
+                        records = extract_pool(
                             make_image(text),
                             ExtractionConfig(max_insns=5, max_paths=4, max_candidates=64),
                         )

@@ -30,8 +30,8 @@ The oracles:
 ``serialize``
     ``pool_from_bytes(pool_to_bytes(pool))`` is byte-stable.
 ``pipeline``
-    ``jobs=1`` and ``jobs=2`` extraction+winnow produce byte-identical
-    pools.
+    A warm :class:`~repro.pipeline.ResultCache` run returns pools
+    byte-identical to the cold run that filled the cache.
 ``planner``
     A defenses-off policy produces the same payloads as no policy.
 ``obfuscation``
@@ -41,6 +41,7 @@ The oracles:
 from __future__ import annotations
 
 import random
+import tempfile
 from dataclasses import dataclass, field, replace
 from hashlib import blake2b
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -48,14 +49,21 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..binfmt.image import TEXT_BASE, make_image
 from ..emulator.cpu import DivideError, Emulator, EmulatorError, run_image
 from ..emulator.memory import MemoryFault
-from ..gadgets.extract import ExtractionConfig, extract_gadgets
+from ..gadgets.extract import ExtractionConfig
 from ..gadgets.record import GadgetRecord
-from ..gadgets.subsumption import deduplicate_gadgets, fingerprint
+from ..gadgets.subsumption import fingerprint
 from ..isa.encoding import DecodeError, decode, decode_window, encode
 from ..isa.instructions import opcode_operands
 from ..isa.registers import ALL_REGS, MASK64, Flag, Reg
 from ..obfuscation.pipeline import CONFIGS, build_program
-from ..pipeline import pool_from_bytes, pool_to_bytes, run_pipeline
+from ..pipeline import (
+    ResultCache,
+    extract_pool,
+    pool_from_bytes,
+    pool_to_bytes,
+    run_pipeline,
+    winnow_pool,
+)
 from ..symex.executor import EndKind, SymbolicExecutor
 from ..symex.expr import eval_bool, eval_bv
 from ..symex.state import FLAG_SYM_PREFIX, reg_sym, stack_sym_offset
@@ -387,10 +395,10 @@ def check_winnow(text: bytes, *, config: Optional[ExtractionConfig] = None) -> L
     has a same-fingerprint survivor agreeing under fresh probes."""
     image = make_image(text)
     config = config or ExtractionConfig(max_insns=5, max_paths=4, max_candidates=64)
-    records = extract_gadgets(image, config)
+    records = extract_pool(image, config)
     if not records:
         return []
-    survivors = deduplicate_gadgets(records)
+    survivors = winnow_pool(records)
     failures: List[str] = []
     record_ids = {id(r) for r in records}
     surv_ids = {id(s) for s in survivors}
@@ -427,7 +435,7 @@ def check_winnow(text: bytes, *, config: Optional[ExtractionConfig] = None) -> L
 
 
 # ---------------------------------------------------------------------------
-# serialization / parallel pipeline / planner identities
+# serialization / cached pipeline / planner identities
 # ---------------------------------------------------------------------------
 
 
@@ -444,13 +452,15 @@ def check_serialize(records: Sequence[GadgetRecord]) -> List[str]:
 def check_pipeline(text: bytes, *, config: Optional[ExtractionConfig] = None) -> List[str]:
     image = make_image(text)
     config = config or ExtractionConfig(max_insns=5, max_paths=4, max_candidates=48)
-    serial_records, serial_surv = run_pipeline(image, config, jobs=1)
-    para_records, para_surv = run_pipeline(image, config, jobs=2)
+    with tempfile.TemporaryDirectory(prefix="nfl-fuzz-cache-") as root:
+        cache = ResultCache(root=root)
+        cold_records, cold_surv = run_pipeline(image, config, cache=cache)
+        warm_records, warm_surv = run_pipeline(image, config, cache=cache)
     failures: List[str] = []
-    if pool_to_bytes(serial_records) != pool_to_bytes(para_records):
-        failures.append("pipeline: jobs=1 vs jobs=2 extraction pools differ")
-    if pool_to_bytes(serial_surv or []) != pool_to_bytes(para_surv or []):
-        failures.append("pipeline: jobs=1 vs jobs=2 winnowed pools differ")
+    if pool_to_bytes(cold_records) != pool_to_bytes(warm_records):
+        failures.append("pipeline: cold vs warm-cache extraction pools differ")
+    if pool_to_bytes(cold_surv) != pool_to_bytes(warm_surv):
+        failures.append("pipeline: cold vs warm-cache winnowed pools differ")
     return failures
 
 
@@ -522,7 +532,7 @@ def run_case(case: Case, *, emulator_factory: EmulatorFactory = Emulator) -> Lis
         return check_winnow(case.text)
     if case.oracle == "serialize":
         image = make_image(case.text)
-        records = extract_gadgets(
+        records = extract_pool(
             image, ExtractionConfig(max_insns=5, max_paths=4, max_candidates=64)
         )
         return check_serialize(records)

@@ -12,7 +12,6 @@ from .extract import (
     ExtractionConfig,
     ExtractionStats,
     candidate_offsets,
-    extract_gadgets,
     make_executor,
     plan_candidates,
     run_candidates,
@@ -22,7 +21,6 @@ from .record import GadgetRecord, JmpType, record_from_path
 from .subsumption import (
     SubsumptionStats,
     bucketize,
-    deduplicate_gadgets,
     fingerprint,
     subsumes,
     winnow_bucket,
@@ -39,8 +37,6 @@ __all__ = [
     "candidate_offsets",
     "classify_window",
     "count_by_type",
-    "deduplicate_gadgets",
-    "extract_gadgets",
     "fingerprint",
     "make_executor",
     "plan_candidates",

@@ -71,13 +71,12 @@ class ExtractionStats:
     semantically_culled: int = 0  # candidates the prefilter removed
     symex_invocations: int = 0  # windows actually executed symbolically
     records: int = 0
-    jobs: int = 1  # worker processes that ran the symex stage
     cache_hits: int = 0  # persistent-cache lookups that short-circuited
     cache_misses: int = 0
     wall_candidates: float = 0.0  # candidate enumeration + syntactic scan
     wall_prefilter: float = 0.0  # semantic prefilter
-    wall_symex: float = 0.0  # symbolic execution (sum over workers' share)
-    wall_total: float = 0.0  # end-to-end, including cache and merge
+    wall_symex: float = 0.0  # symbolic execution
+    wall_total: float = 0.0  # end-to-end, including the cache
 
     @property
     def cull_ratio(self) -> float:
@@ -224,13 +223,12 @@ def make_executor(
     code: bytes,
     base_addr: int,
     config: ExtractionConfig,
-    graph: Optional[DecodeGraph] = None,
+    graph: DecodeGraph,
 ) -> SymbolicExecutor:
     """The symbolic executor the extraction stage runs candidates on.
 
-    Worker processes call this without a ``graph`` (shipping one per
-    worker costs more than lazily re-decoding); the decode cache only
-    affects speed, never which paths are found.
+    ``graph`` preloads the executor's decode cache, which only affects
+    speed, never which paths are found.
     """
     executor = SymbolicExecutor(
         code,
@@ -238,8 +236,7 @@ def make_executor(
         max_insns=config.max_insns,
         max_paths=config.max_paths if config.include_conditional else 1,
     )
-    if graph is not None:
-        executor.preload_decode_cache(graph.addr_decode_cache())
+    executor.preload_decode_cache(graph.addr_decode_cache())
     return executor
 
 
@@ -248,16 +245,13 @@ def run_candidates(
     candidates: List[int],
     config: ExtractionConfig,
     stats: Optional[ExtractionStats] = None,
-    start_id: int = 0,
 ) -> List[GadgetRecord]:
     """Stage 3: symbolically execute candidates, in order, into records.
 
-    Ids are assigned sequentially from ``start_id`` in candidate order,
-    so a sharded run that concatenates per-shard results in shard order
-    and renumbers reproduces the serial numbering exactly.
+    Ids are assigned sequentially from 0 in candidate order.
     """
     records: List[GadgetRecord] = []
-    gadget_id = start_id
+    gadget_id = 0
     steps_histogram = metrics().histogram("symex.steps_per_candidate")
     insns_at_entry = executor.insns_executed
     paths_at_entry = executor.paths_completed
@@ -278,37 +272,10 @@ def run_candidates(
             steps_histogram.observe(executor.insns_executed - steps_before)
         sp.add("candidates", len(candidates))
         sp.add("records", len(records))
-        # Deltas, not lifetime totals: a pool worker reuses one executor
-        # across chunks, and chunk->process scheduling must not leak
-        # into the exported counters (trace byte-stability).
+        # Deltas, not lifetime totals: the executor may have run before.
         sp.add("insns", executor.insns_executed - insns_at_entry)
         sp.add("paths", executor.paths_completed - paths_at_entry)
     if stats is not None:
         stats.wall_symex += sp.wall
     return records
 
-
-def extract_gadgets(
-    image: BinaryImage,
-    config: Optional[ExtractionConfig] = None,
-    stats: Optional[ExtractionStats] = None,
-) -> List[GadgetRecord]:
-    """Run the full extraction stage over an image, serially.
-
-    :mod:`repro.pipeline` runs the same three stages with the symex
-    stage sharded over worker processes and the result pool cached on
-    disk; this function remains the single-process reference path the
-    parallel pipeline is asserted byte-identical against.
-    """
-    config = config or ExtractionConfig()
-    with span("extract") as root:
-        graph, candidates = plan_candidates(image, config, stats)
-        executor = make_executor(image.text.data, image.text.addr, config, graph)
-        with span("extract.symex") as sym_sp:
-            records = run_candidates(executor, candidates, config, stats)
-        sym_sp.add("records", len(records))
-        root.add("records", len(records))
-    if stats is not None:
-        stats.records = len(records)
-        stats.wall_total += root.wall
-    return records

@@ -16,13 +16,16 @@ in different buckets cannot have equal post-conditions; within a
 bucket, equality is decided in three tiers:
 
 1. syntactic identity (free);
-2. random evaluation on 16 further sample vectors — any disagreement
-   proves inequality; full agreement is accepted as equality.  (With
-   independent 64-bit probes a false collision is vanishingly unlikely;
-   pass ``exact=True`` to confirm each equality with the solver, at
-   ~100× the cost, dominated by bit-blasting 64×64 multipliers.)
+2. random evaluation on 12 further sample vectors — any disagreement
+   proves inequality; full agreement is accepted as equality (with
+   independent 64-bit probes a false collision is vanishingly
+   unlikely);
 3. pre-condition *implication* (the directional part of eqn. 1) is
-   checked with the solver — sampling cannot prove implications.
+   checked with the solver — sampling cannot prove implications, and a
+   solver UNKNOWN counts as "does not imply", so both gadgets stay.
+
+:func:`repro.pipeline.winnow_pool` is the stage's entry point; this
+module holds the per-bucket pieces it runs.
 
 Treating sampled equality as equality makes deduplication
 probabilistic, which is safe here: a wrongly dropped gadget only
@@ -38,9 +41,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..isa.registers import ALL_REGS
-from ..obs import metrics, span
+from ..obs import metrics
 from ..solver.solver import Solver
-from ..symex.expr import Bool, bool_and, bool_not, bv_eq, eval_bool, eval_bv
+from ..symex.expr import Bool, bool_and, bool_not, eval_bool, eval_bv
 from .record import GadgetRecord
 
 _NUM_PROBES = 4
@@ -95,24 +98,17 @@ def _sampled_equal(ea, eb) -> bool:
     return True
 
 
-def _exprs_equal(ea, eb, solver: Solver, exact: bool) -> bool:
-    """Tiered equality: syntactic → sampling → optional solver proof."""
-    if ea == eb:
-        return True
-    if not _sampled_equal(ea, eb):
-        return False
-    if not exact:
-        return True
-    result = solver.check([bool_not(bv_eq(ea, eb))])
-    return not result.is_sat  # UNSAT or UNKNOWN → treat as equal
+def _exprs_equal(ea, eb) -> bool:
+    """Tiered equality: syntactic, then sampling."""
+    return ea == eb or _sampled_equal(ea, eb)
 
 
-def _posts_equal(a: GadgetRecord, b: GadgetRecord, solver: Solver, exact: bool = False) -> bool:
+def _posts_equal(a: GadgetRecord, b: GadgetRecord) -> bool:
     """post_a == post_b for every register and the jump target."""
     for r in ALL_REGS:
-        if not _exprs_equal(a.post_regs[r], b.post_regs[r], solver, exact):
+        if not _exprs_equal(a.post_regs[r], b.post_regs[r]):
             return False
-    if not _exprs_equal(a.jump_target, b.jump_target, solver, exact):
+    if not _exprs_equal(a.jump_target, b.jump_target):
         return False
     # Memory effects: compare syntactically (conservative).
     if len(a.mem_writes) != len(b.mem_writes):
@@ -188,13 +184,12 @@ def subsumes(
     g2: GadgetRecord,
     solver: Optional[Solver] = None,
     *,
-    exact: bool = False,
     memo: Optional[ImplicationMemo] = None,
     stats: Optional["SubsumptionStats"] = None,
 ) -> bool:
     """True iff g1 subsumes g2 per eqn. (1)."""
     solver = solver or Solver(max_conflicts=2000)
-    return _posts_equal(g1, g2, solver, exact) and _pre_implies(
+    return _posts_equal(g1, g2) and _pre_implies(
         g1.pre_cond, g2.pre_cond, solver, memo, stats
     )
 
@@ -207,7 +202,6 @@ class SubsumptionStats:
     solver_checks: int = 0
     implication_queries: int = 0  # non-trivial pre-implication decisions
     memo_hits: int = 0  # answered from the implication memo
-    jobs: int = 1  # worker processes that ran the winnow
     cache_hits: int = 0  # persistent-cache lookups that short-circuited
     cache_misses: int = 0
     wall_total: float = 0.0
@@ -230,14 +224,8 @@ class SubsumptionStats:
 
 
 def bucketize(records: Sequence[GadgetRecord]) -> List[List[GadgetRecord]]:
-    """Group records into fingerprint buckets.
-
-    Buckets are returned in fingerprint first-occurrence order, which is
-    what the serial winnow iterates — a sharded winnow that processes
-    and concatenates buckets in this order reproduces the serial
-    survivor order exactly (the final stable location sort preserves
-    the concatenation order among location ties).
-    """
+    """Group records into fingerprint buckets, in fingerprint
+    first-occurrence order (the order the winnow iterates them)."""
     buckets: Dict[Tuple, List[GadgetRecord]] = defaultdict(list)
     for record in records:
         buckets[fingerprint(record)].append(record)
@@ -253,11 +241,10 @@ def winnow_bucket(
     solver: Solver,
     stats: Optional[SubsumptionStats] = None,
     *,
-    exact: bool = False,
     memo: Optional[ImplicationMemo] = None,
 ) -> List[GadgetRecord]:
-    """Winnow one fingerprint bucket; buckets are independent, so this
-    is the unit of work a parallel winnow shards across processes."""
+    """Winnow one fingerprint bucket (records in different buckets
+    cannot subsume each other)."""
     # Candidate order: fewest preconditions first, then shortest —
     # the preferred representative wins ties cheaply.
     ordered = sorted(bucket, key=lambda g: (len(g.pre_cond), g.num_insns, g.location))
@@ -267,48 +254,10 @@ def winnow_bucket(
         for keeper in kept:
             if stats is not None:
                 stats.solver_checks += 1
-            if subsumes(keeper, record, solver, exact=exact, memo=memo, stats=stats):
+            if subsumes(keeper, record, solver, memo=memo, stats=stats):
                 dominated = True
                 break
         if not dominated:
             kept.append(record)
     return kept
 
-
-def deduplicate_gadgets(
-    records: Sequence[GadgetRecord],
-    *,
-    solver: Optional[Solver] = None,
-    stats: Optional[SubsumptionStats] = None,
-    exact: bool = False,
-) -> List[GadgetRecord]:
-    """Winnow the pool: keep one representative per equivalence class,
-    preferring the loosest pre-condition, then the shortest gadget.
-
-    :mod:`repro.pipeline` runs the same winnow with the buckets sharded
-    over worker processes and the survivor pool cached on disk; this
-    function remains the single-process reference path the parallel
-    winnow is asserted byte-identical against.
-    """
-    solver = solver or Solver(max_conflicts=2000)
-    stats = stats if stats is not None else SubsumptionStats()
-    stats.input_count = len(records)
-    with span("winnow") as root:
-        with span("winnow.bucketize") as bkt_sp:
-            buckets = bucketize(records)
-        bkt_sp.add("buckets", len(buckets))
-        stats.buckets = len(buckets)
-
-        memo: ImplicationMemo = {}
-        survivors: List[GadgetRecord] = []
-        with span("winnow.buckets") as run_sp:
-            for bucket in buckets:
-                survivors.extend(winnow_bucket(bucket, solver, stats, exact=exact, memo=memo))
-            run_sp.add("solver_checks", stats.solver_checks)
-            run_sp.add("memo_hits", stats.memo_hits)
-        survivors.sort(key=lambda g: g.location)
-        root.add("input", stats.input_count)
-        root.add("output", len(survivors))
-    stats.output_count = len(survivors)
-    stats.wall_total += root.wall
-    return survivors

@@ -3,11 +3,10 @@
 Two cooperating pieces:
 
 * :mod:`~repro.obs.trace` — hierarchical trace spans (wall/CPU time,
-  integer counters, parent links) with deterministic JSONL export,
-  schema validation, and worker-tree adoption for multiprocessing
-  stages;
+  integer counters, parent links) with deterministic JSONL export and
+  schema validation;
 * :mod:`~repro.obs.metrics` — a process-local registry of counters,
-  gauges and power-of-two histograms, mergeable across workers.
+  gauges and power-of-two histograms.
 
 Instrumented stages create spans unconditionally (a span with no
 active tracer still measures, so ``ExtractionStats``/

@@ -2,9 +2,7 @@
 
 Deliberately dependency-free and deterministic: histograms bucket by
 power of two (``bit_length``), so two runs over the same inputs export
-identical snapshots.  Worker processes keep their own registry and
-ship :meth:`MetricsRegistry.to_dict` snapshots back with their span
-trees; the parent folds them in with :meth:`MetricsRegistry.merge`.
+identical snapshots (:meth:`MetricsRegistry.to_dict`).
 """
 
 from __future__ import annotations
@@ -111,31 +109,6 @@ class MetricsRegistry:
             "gauges": {k: self._gauges[k].value for k in sorted(self._gauges)},
             "histograms": {k: self._histograms[k].to_dict() for k in sorted(self._histograms)},
         }
-
-    def merge(self, snapshot: Dict[str, Any]) -> None:
-        """Fold a worker's :meth:`to_dict` snapshot into this registry."""
-        for name, value in snapshot.get("counters", {}).items():
-            self.counter(name).inc(int(value))
-        for name, value in snapshot.get("gauges", {}).items():
-            self.gauge(name).set(int(value))
-        for name, data in snapshot.get("histograms", {}).items():
-            histogram = self.histogram(name)
-            histogram.count += int(data.get("count", 0))
-            histogram.total += int(data.get("sum", 0))
-            for bound in ("min", "max"):
-                value = data.get(bound)
-                if value is None:
-                    continue
-                current = getattr(histogram, bound)
-                if current is None:
-                    setattr(histogram, bound, int(value))
-                elif bound == "min":
-                    histogram.min = min(current, int(value))
-                else:
-                    histogram.max = max(current, int(value))
-            for bucket, count in data.get("buckets", {}).items():
-                bucket = int(bucket)
-                histogram.buckets[bucket] = histogram.buckets.get(bucket, 0) + int(count)
 
     def reset(self) -> None:
         self._counters.clear()

@@ -9,10 +9,7 @@ timing has exactly one source of truth whether or not a trace is being
 recorded.  When a :class:`Tracer` is active (``with tracing(t):``),
 spans additionally attach themselves to the tracer's tree.
 
-Worker processes build their own little trees, ship them back as plain
-dicts (:meth:`Span.to_dict` — JSON/pickle friendly), and the parent
-adopts them in shard order (:meth:`Tracer.adopt`).  Because shard
-order is fixed by the chunking, the merged tree is deterministic: two
+Every stage runs in one process, so the tree is deterministic: two
 runs over the same inputs export byte-identical JSONL apart from the
 timestamp fields (``wall`` / ``cpu``).
 
@@ -82,27 +79,6 @@ class Span:
         if self._tracer is not None:
             self._tracer._pop(self)
 
-    # -- worker transport ---------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-friendly tree rooted at this span."""
-        return {
-            "name": self.name,
-            "wall": self.wall,
-            "cpu": self.cpu,
-            "counters": dict(self.counters),
-            "children": [c.to_dict() for c in self.children],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Span":
-        span = cls(str(data["name"]))
-        span.wall = float(data.get("wall", 0.0))
-        span.cpu = float(data.get("cpu", 0.0))
-        span.counters = {str(k): int(v) for k, v in data.get("counters", {}).items()}
-        span.children = [cls.from_dict(c) for c in data.get("children", [])]
-        return span
-
     def walk(self) -> Iterator[Tuple["Span", int]]:
         """Depth-first preorder (span, depth) over this subtree."""
         stack: List[Tuple[Span, int]] = [(self, 0)]
@@ -133,10 +109,6 @@ class Tracer:
     def span(self, name: str) -> Span:
         return Span(name, tracer=self)
 
-    @property
-    def current(self) -> Optional[Span]:
-        return self._stack[-1] if self._stack else None
-
     def add(self, key: str, n: int = 1) -> None:
         """Bump a counter on the innermost open span, if any."""
         if self._stack:
@@ -158,22 +130,6 @@ class Tracer:
             if self._stack[index] is span:
                 del self._stack[index]
                 return
-
-    def adopt(self, tree: Dict[str, Any], parent: Optional[Span] = None) -> Span:
-        """Attach a worker's serialized span tree under ``parent``
-        (default: the innermost open span, else a new root).
-
-        Callers adopt shard trees in shard order, which makes the
-        merged forest deterministic — the same discipline as the
-        byte-identical pool merges.
-        """
-        span = Span.from_dict(tree)
-        target = parent if parent is not None else self.current
-        if target is not None:
-            target.children.append(span)
-        else:
-            self.roots.append(span)
-        return span
 
     # -- export -------------------------------------------------------------
 

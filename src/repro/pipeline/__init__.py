@@ -1,13 +1,14 @@
-"""repro.pipeline — the performance layer over extraction + winnowing.
+"""repro.pipeline — the extraction and winnowing stages plus their cache.
 
 Three cooperating pieces (see DESIGN.md's inventory):
 
 * :mod:`~repro.pipeline.serialize` — canonical, versioned byte encoding
-  for gadget records and pools (workers and the cache both need it);
+  for gadget records and pools, which the cache stores;
 * :mod:`~repro.pipeline.cache` — persistent content-addressed pool
   store keyed by (image bytes, config, pipeline/format versions);
-* :mod:`~repro.pipeline.parallel` — sharded extraction and winnowing
-  with merges that are byte-identical to the serial reference paths.
+* :mod:`~repro.pipeline.parallel` — the one serial entry point of each
+  stage (``extract_pool``, ``winnow_pool``, ``run_pipeline``), each
+  short-circuiting through the cache on a hit.
 """
 
 from .cache import CACHE_DIR_ENV, CacheStats, PIPELINE_VERSION, ResultCache, default_cache_dir

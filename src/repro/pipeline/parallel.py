@@ -1,37 +1,27 @@
-"""Sharded extraction/winnowing with deterministic merges.
+"""Extraction and winnowing, run serially behind the persistent cache.
 
-The two heavy stages parallelize along natural seams:
+Each of Gadget-Planner's two heavy stages has one entry point here:
 
-* **Extraction** — candidate windows are independent, so the candidate
-  list is split into contiguous chunks and each worker symbolically
-  executes its chunk on a private executor.  The serial path assigns
-  gadget ids sequentially over kept records in candidate order, so
-  concatenating per-chunk results in chunk order and renumbering
-  reproduces the serial pool byte for byte.
+* :func:`extract_pool` (Sec. IV-B) plans the candidate windows over the
+  shared decode graph, then symbolically executes them in candidate
+  order; gadget ids are sequential in that order.
+* :func:`winnow_pool` (Sec. IV-C) buckets the pool by semantic
+  fingerprint and winnows the buckets in first-occurrence order with one
+  solver and one implication memo; survivors come back sorted by
+  location.
 
-* **Winnowing** — fingerprint buckets cannot subsume across buckets,
-  so buckets shard freely.  Buckets are kept in fingerprint
-  first-occurrence order (what the serial winnow iterates); the final
-  stable location sort then reproduces the serial survivor order.
+Either stage short-circuits through a :class:`ResultCache` keyed on
+(image bytes, extraction config): a hit returns the stored pool and does
+no symbolic execution or solver work.  :func:`run_pipeline` runs both
+stages under one ``pipeline`` span with a shared cache.
 
-Workers exchange records via the canonical encoding in
-:mod:`repro.pipeline.serialize` rather than pickle, which keeps the
-"parallel == serial" property a one-line bytes comparison.  Either
-stage can short-circuit entirely through a :class:`ResultCache`.
-
-Observability rides the same channel: each worker chunk runs under its
-own :class:`repro.obs.Tracer` and ships its span tree (plus a metrics
-snapshot) back with the result blob.  The parent adopts the trees in
-chunk order — the merge is deterministic for the same reason the pool
-merge is — so a ``--trace`` export is byte-stable modulo timestamps
-for any worker count.
+The module keeps its historical name because ``perfbench/probe.py``
+patches ``run_candidates`` and ``bucketize`` here by name.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..binfmt.image import BinaryImage
 from ..gadgets.extract import (
@@ -48,85 +38,23 @@ from ..gadgets.subsumption import (
     bucketize,
     winnow_bucket,
 )
-from ..obs import Tracer, active_tracer, metrics, reset_metrics, span, tracing
+from ..obs import span
 from ..solver.solver import Solver
-from ..staticanalysis.decode_graph import DecodeGraph
 from .cache import ResultCache
-from .serialize import pool_from_bytes, pool_to_bytes
 
-#: Conservative solver budget matching the serial winnow default.
+#: Conservative solver budget for winnowing.
 _WINNOW_MAX_CONFLICTS = 2000
 
 
-def _default_jobs() -> int:
-    return os.cpu_count() or 1
+def check_jobs(jobs: int) -> None:
+    """Reject any ``jobs`` but 1: the stages run in this process only.
 
-
-def _mp_context():
-    # fork is cheapest (no re-import, no pickling of initargs) and is
-    # available everywhere we run CI; fall back to the platform default.
-    if "fork" in mp.get_all_start_methods():
-        return mp.get_context("fork")
-    return mp.get_context()
-
-
-def _chunk(items: Sequence, count: int) -> List[List]:
-    """Split into ``count`` contiguous chunks, sizes as even as possible."""
-    count = max(1, min(count, len(items)))
-    base, extra = divmod(len(items), count)
-    chunks: List[List] = []
-    start = 0
-    for i in range(count):
-        size = base + (1 if i < extra else 0)
-        chunks.append(list(items[start : start + size]))
-        start += size
-    return chunks
-
-
-# -- extraction workers -------------------------------------------------------
-
-#: Per-process state, set up once by the pool initializer.
-_WORKER: Dict[str, object] = {}
-
-
-def _init_extract_worker(
-    code: bytes,
-    base_addr: int,
-    config: ExtractionConfig,
-    graph: Optional[DecodeGraph] = None,
-) -> None:
-    """Build the per-process executor.
-
-    ``graph`` is the decode graph ``plan_candidates`` already built in
-    the parent; under the fork start method it arrives for free (shared
-    copy-on-write pages), so workers preload its decode cache instead
-    of re-decoding the whole section each.  Spawn-style contexts pass
-    ``None`` and fall back to lazy decoding — either way the pools are
-    byte-identical, the cache only affects speed.
+    ``run_pipeline`` and ``GadgetPlanner`` keep the keyword because
+    ``perfbench/workloads.py`` passes ``jobs=1``; it goes away with the
+    next change to the benchmark.
     """
-    _WORKER["executor"] = make_executor(code, base_addr, config, graph)
-    _WORKER["config"] = config
-
-
-def _extract_chunk(item: Tuple[int, List[int]]) -> Tuple[bytes, dict, dict]:
-    """Run one candidate chunk.
-
-    Returns (pool bytes, span tree dict, metrics snapshot); the span
-    tree carries the chunk's wall/CPU time and counters back to the
-    parent trace.
-    """
-    index, candidates = item
-    reset_metrics()
-    tracer = Tracer()
-    with tracing(tracer):
-        records = run_candidates(
-            _WORKER["executor"],  # type: ignore[arg-type]
-            candidates,
-            _WORKER["config"],  # type: ignore[arg-type]
-        )
-    tree = tracer.roots[0].to_dict()
-    tree["counters"]["shard"] = index
-    return pool_to_bytes(records), tree, metrics().to_dict()
+    if jobs != 1:
+        raise ValueError(f"jobs={jobs!r}: the pipeline runs serially, only jobs=1 is accepted")
 
 
 def extract_pool(
@@ -134,33 +62,22 @@ def extract_pool(
     config: Optional[ExtractionConfig] = None,
     stats: Optional[ExtractionStats] = None,
     *,
-    jobs: Optional[int] = None,
     cache: Optional[ResultCache] = None,
     image_bytes: Optional[bytes] = None,
 ) -> List[GadgetRecord]:
-    """Extraction with optional sharding and persistent caching.
-
-    Byte-identical to :func:`repro.gadgets.extract.extract_gadgets` for
-    every ``jobs`` value (asserted in tests); ``jobs`` defaults to
-    ``os.cpu_count()``.
-    """
+    """Run the extraction stage over ``image``, through ``cache`` if given."""
     config = config or ExtractionConfig()
     stats = stats if stats is not None else ExtractionStats()
-    requested_jobs = jobs if jobs is not None else _default_jobs()
     with span("extract") as root:
-        if cache is not None and image_bytes is None:
-            image_bytes = image.to_bytes()
         if cache is not None:
+            if image_bytes is None:
+                image_bytes = image.to_bytes()
             with span("extract.cache") as cache_sp:
                 hit = cache.load_pool("extract", image_bytes, config)
             if hit is not None:
                 records, meta = hit
                 cache_sp.add("hits", 1)
                 stats.cache_hits += 1
-                # A warm run still reports its configured worker count —
-                # zero symex jobs ran, but `jobs=0`-style summaries and
-                # BENCH artifacts must not misstate the configuration.
-                stats.jobs = requested_jobs
                 stats.candidates = int(meta.get("candidates", 0))
                 stats.semantically_culled = int(meta.get("semantically_culled", 0))
                 stats.records = len(records)
@@ -172,36 +89,9 @@ def extract_pool(
             stats.cache_misses += 1
 
         graph, candidates = plan_candidates(image, config, stats)
-        jobs = max(1, min(requested_jobs, len(candidates) or 1))
-        stats.jobs = jobs
-
         with span("extract.symex") as sym_sp:
-            if jobs == 1:
-                executor = make_executor(image.text.data, image.text.addr, config, graph)
-                records = run_candidates(executor, candidates, config, stats)
-            else:
-                chunks = _chunk(candidates, jobs * 4)
-                ctx = _mp_context()
-                graph_arg = graph if ctx.get_start_method() == "fork" else None
-                with ctx.Pool(
-                    jobs,
-                    initializer=_init_extract_worker,
-                    initargs=(image.text.data, image.text.addr, config, graph_arg),
-                ) as pool:
-                    results = pool.map(_extract_chunk, list(enumerate(chunks)), chunksize=1)
-                tracer = active_tracer()
-                registry = metrics()
-                records = []
-                for blob, tree, snapshot in results:
-                    records.extend(pool_from_bytes(blob))
-                    stats.wall_symex += float(tree["wall"])
-                    if tracer is not None:
-                        tracer.adopt(tree, parent=sym_sp)
-                    registry.merge(snapshot)
-                for new_id, record in enumerate(records):
-                    record.gadget_id = new_id
-                stats.symex_invocations += len(candidates)
-                sym_sp.add("shards", len(chunks))
+            executor = make_executor(image.text.data, image.text.addr, config, graph)
+            records = run_candidates(executor, candidates, config, stats)
             sym_sp.add("records", len(records))
 
         stats.records = len(records)
@@ -222,87 +112,37 @@ def extract_pool(
     return records
 
 
-# -- winnow workers -----------------------------------------------------------
-
-
-def _init_winnow_worker(exact: bool) -> None:
-    _WORKER["solver"] = Solver(max_conflicts=_WINNOW_MAX_CONFLICTS)
-    _WORKER["memo"] = {}
-    _WORKER["exact"] = exact
-
-
-def _winnow_chunk(item: Tuple[int, List[bytes]]) -> Tuple[bytes, dict, dict, dict]:
-    """Winnow a chunk of serialized buckets.
-
-    Returns (survivor pool bytes in bucket order, local stat counters,
-    span tree dict, metrics snapshot).
-    """
-    index, bucket_blobs = item
-    solver: Solver = _WORKER["solver"]  # type: ignore[assignment]
-    memo: ImplicationMemo = _WORKER["memo"]  # type: ignore[assignment]
-    exact = bool(_WORKER["exact"])
-    local = SubsumptionStats()
-    survivors: List[GadgetRecord] = []
-    reset_metrics()
-    tracer = Tracer()
-    with tracing(tracer):
-        with span("winnow.buckets.run") as sp:
-            for blob in bucket_blobs:
-                bucket = pool_from_bytes(blob)
-                survivors.extend(winnow_bucket(bucket, solver, local, exact=exact, memo=memo))
-            sp.add("shard", index)
-            sp.add("buckets", len(bucket_blobs))
-            sp.add("survivors", len(survivors))
-            sp.add("solver_checks", local.solver_checks)
-    counters = {
-        "solver_checks": local.solver_checks,
-        "implication_queries": local.implication_queries,
-        "memo_hits": local.memo_hits,
-    }
-    return pool_to_bytes(survivors), counters, tracer.roots[0].to_dict(), metrics().to_dict()
-
-
 def winnow_pool(
     records: Sequence[GadgetRecord],
     stats: Optional[SubsumptionStats] = None,
     *,
-    jobs: Optional[int] = None,
-    exact: bool = False,
     solver: Optional[Solver] = None,
     cache: Optional[ResultCache] = None,
     image: Optional[BinaryImage] = None,
     image_bytes: Optional[bytes] = None,
     config: Optional[ExtractionConfig] = None,
 ) -> List[GadgetRecord]:
-    """Winnowing with optional per-bucket sharding and caching.
-
-    Byte-identical to
-    :func:`repro.gadgets.subsumption.deduplicate_gadgets` for every
-    ``jobs`` value: subsumption decisions depend only on the records
-    (solver UNSAT answers are deterministic), never on which process or
-    memo evaluated them.
+    """Winnow the pool: keep one representative per equivalence class,
+    preferring the loosest pre-condition, then the shortest gadget.
 
     Caching keys on (image bytes, extraction config), the inputs the
     extracted pool is itself a pure function of; both must be supplied
     for the cache to engage.
     """
     stats = stats if stats is not None else SubsumptionStats()
-    requested_jobs = jobs if jobs is not None else _default_jobs()
-    kind = "winnow-exact" if exact else "winnow"
     can_cache = cache is not None and config is not None and (
         image is not None or image_bytes is not None
     )
     with span("winnow") as root:
-        if can_cache and image_bytes is None:
-            image_bytes = image.to_bytes()
         if can_cache:
+            if image_bytes is None:
+                image_bytes = image.to_bytes()
             with span("winnow.cache") as cache_sp:
-                hit = cache.load_pool(kind, image_bytes, config)
+                hit = cache.load_pool("winnow", image_bytes, config)
             if hit is not None:
                 survivors, meta = hit
                 cache_sp.add("hits", 1)
                 stats.cache_hits += 1
-                stats.jobs = requested_jobs  # see extract_pool: true config
                 stats.input_count = int(meta.get("input_count", len(records)))
                 stats.buckets = int(meta.get("buckets", 0))
                 stats.output_count = len(survivors)
@@ -319,40 +159,15 @@ def winnow_pool(
         bkt_sp.add("buckets", len(buckets))
         stats.buckets = len(buckets)
 
-        jobs = max(1, min(requested_jobs, len(buckets) or 1))
-        stats.jobs = jobs
-
+        solver = solver or Solver(max_conflicts=_WINNOW_MAX_CONFLICTS)
+        memo: ImplicationMemo = {}
+        survivors: List[GadgetRecord] = []
         with span("winnow.buckets") as run_sp:
-            if jobs == 1:
-                solver = solver or Solver(max_conflicts=_WINNOW_MAX_CONFLICTS)
-                memo: ImplicationMemo = {}
-                survivors: List[GadgetRecord] = []
-                with span("winnow.buckets.run") as sp:
-                    for bucket in buckets:
-                        survivors.extend(
-                            winnow_bucket(bucket, solver, stats, exact=exact, memo=memo)
-                        )
-                    sp.add("buckets", len(buckets))
-                    sp.add("survivors", len(survivors))
-                    sp.add("solver_checks", stats.solver_checks)
-            else:
-                chunks = _chunk([pool_to_bytes(b) for b in buckets], jobs * 4)
-                ctx = _mp_context()
-                with ctx.Pool(jobs, initializer=_init_winnow_worker, initargs=(exact,)) as pool:
-                    results = pool.map(_winnow_chunk, list(enumerate(chunks)), chunksize=1)
-                tracer = active_tracer()
-                registry = metrics()
-                survivors = []
-                for blob, counters, tree, snapshot in results:
-                    survivors.extend(pool_from_bytes(blob))
-                    stats.solver_checks += counters["solver_checks"]
-                    stats.implication_queries += counters["implication_queries"]
-                    stats.memo_hits += counters["memo_hits"]
-                    if tracer is not None:
-                        tracer.adopt(tree, parent=run_sp)
-                    registry.merge(snapshot)
-                run_sp.add("shards", len(chunks))
+            for bucket in buckets:
+                survivors.extend(winnow_bucket(bucket, solver, stats, memo=memo))
+            run_sp.add("survivors", len(survivors))
             run_sp.add("solver_checks", stats.solver_checks)
+            run_sp.add("memo_hits", stats.memo_hits)
 
         survivors.sort(key=lambda g: g.location)
         stats.output_count = len(survivors)
@@ -361,7 +176,7 @@ def winnow_pool(
         if can_cache:
             with span("winnow.cache.store"):
                 cache.store_pool(
-                    kind,
+                    "winnow",
                     image_bytes,
                     config,
                     survivors,
@@ -375,30 +190,31 @@ def run_pipeline(
     image: BinaryImage,
     config: Optional[ExtractionConfig] = None,
     *,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     cache: Optional[ResultCache] = None,
     winnow: bool = True,
     extraction_stats: Optional[ExtractionStats] = None,
     winnow_stats: Optional[SubsumptionStats] = None,
 ) -> Tuple[List[GadgetRecord], Optional[List[GadgetRecord]]]:
-    """Extract (and optionally winnow) with shared jobs/cache settings.
+    """Extract (and optionally winnow) with one shared cache.
 
     Returns ``(extracted, winnowed-or-None)``.  Under an active tracer
     the whole run lands beneath one ``pipeline`` root span with the
-    ``extract`` and ``winnow`` trees as children.
+    ``extract`` and ``winnow`` trees as children.  ``jobs`` must be 1
+    (see :func:`check_jobs`).
     """
+    check_jobs(jobs)
     config = config or ExtractionConfig()
     with span("pipeline"):
         image_bytes = image.to_bytes() if cache is not None else None
         records = extract_pool(
-            image, config, extraction_stats, jobs=jobs, cache=cache, image_bytes=image_bytes
+            image, config, extraction_stats, cache=cache, image_bytes=image_bytes
         )
         if not winnow:
             return records, None
         survivors = winnow_pool(
             records,
             winnow_stats,
-            jobs=jobs,
             cache=cache,
             image_bytes=image_bytes,
             config=config,

@@ -1,12 +1,10 @@
 """Stable binary serialization for gadget pools.
 
-Both halves of the performance layer need :class:`GadgetRecord` as
-bytes: worker processes ship extracted batches back to the parent, and
-the persistent cache stores whole pools on disk.  ``pickle`` would
-work, but its output is not canonical (memo ids, protocol drift), and
-the cache is *content-addressed* — two byte-identical pools must hash
-identically across processes and Python versions.  So records get an
-explicit, versioned encoding instead:
+The persistent result cache stores whole :class:`GadgetRecord` pools
+on disk.  ``pickle`` would work, but its output is not canonical (memo
+ids, protocol drift), and the cache is *content-addressed* — two
+byte-identical pools must hash identically across processes and Python
+versions.  So records get an explicit, versioned encoding instead:
 
 * expressions are written as a pre-order tagged tree and decoded back
   into the *exact* same dataclasses (no smart-constructor re-runs, so
@@ -17,8 +15,8 @@ explicit, versioned encoding instead:
   pools small and round-trips arbitrary-width Python ints exactly.
 
 ``pool_to_bytes(records)`` is deterministic given the records, which
-is what makes "parallel pool is byte-identical to the serial pool"
-testable with a single bytes comparison.
+makes "the warm pool is byte-identical to the cold pool" testable with
+a single bytes comparison.
 """
 
 from __future__ import annotations

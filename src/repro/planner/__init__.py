@@ -28,7 +28,7 @@ from ..solver.solver import Solver
 from ..gadgets.extract import ExtractionConfig, ExtractionStats
 from ..gadgets.subsumption import SubsumptionStats
 from ..pipeline.cache import ResultCache
-from ..pipeline.parallel import extract_pool, winnow_pool
+from ..pipeline.parallel import check_jobs, extract_pool, winnow_pool
 from .conditions import MemCondition, RegCondition
 from .goals import (
     AttackGoal,
@@ -84,6 +84,9 @@ class PlannerReport:
     extraction_stats: ExtractionStats = field(default_factory=ExtractionStats)
     subsumption_stats: SubsumptionStats = field(default_factory=SubsumptionStats)
     search_stats: Dict[str, SearchStats] = field(default_factory=dict)
+    #: goal name -> complete plans ``assemble_payload`` rejected (every
+    #: goal that reached search has an entry, 0 when none failed)
+    assembly_errors: Dict[str, int] = field(default_factory=dict)
     #: Defense-aware runs only (``GadgetPlanner(defense=...)``):
     defense_policy: Optional[str] = None
     gadgets_surviving: Optional[int] = None
@@ -104,7 +107,10 @@ class PlannerReport:
 
 
 class GadgetPlanner:
-    """The full pipeline against one binary image."""
+    """The full pipeline against one binary image.
+
+    ``jobs`` must be 1; see :func:`repro.pipeline.parallel.check_jobs`.
+    """
 
     def __init__(
         self,
@@ -114,10 +120,11 @@ class GadgetPlanner:
         planner: Optional[PlannerConfig] = None,
         solver: Optional[Solver] = None,
         validate: bool = True,
-        jobs: Optional[int] = None,
+        jobs: int = 1,
         cache: Optional[ResultCache] = None,
         defense: Optional["DefensePolicy"] = None,
     ) -> None:
+        check_jobs(jobs)
         self.image = image
         self.extraction_config = extraction or ExtractionConfig()
         self.planner_config = planner or PlannerConfig()
@@ -129,10 +136,6 @@ class GadgetPlanner:
         # easy; a hard one returning UNKNOWN just skips that provider.
         self.solver = solver or Solver(max_conflicts=4000)
         self.validate = validate
-        # None keeps the historic single-process behavior; pass an
-        # explicit worker count (or a ResultCache) to opt into the
-        # repro.pipeline fast paths — the pools are byte-identical.
-        self.jobs = jobs if jobs is not None else 1
         self.cache = cache
         self._locate_cache: Dict[int, Optional[int]] = {}
 
@@ -173,7 +176,6 @@ class GadgetPlanner:
                     self.image,
                     self.extraction_config,
                     report.extraction_stats,
-                    jobs=self.jobs,
                     cache=self.cache,
                     image_bytes=image_bytes,
                 )
@@ -184,7 +186,6 @@ class GadgetPlanner:
                 deduped = winnow_pool(
                     records,
                     report.subsumption_stats,
-                    jobs=self.jobs,
                     solver=self.solver,
                     cache=self.cache,
                     image_bytes=image_bytes,
@@ -227,6 +228,7 @@ class GadgetPlanner:
                         continue
                     stats = SearchStats()
                     report.search_stats[goal.name] = stats
+                    report.assembly_errors[goal.name] = 0
                     for plan in search_plans(
                         library,
                         resolved,
@@ -246,6 +248,7 @@ class GadgetPlanner:
                     try:
                         payload = assemble_payload(plan, resolved, solver=self.solver)
                     except AssemblyError:
+                        report.assembly_errors[resolved.goal.name] += 1
                         continue
                     # Count *distinct* chains: two linearizations of the
                     # same gadget set are one payload, not two.

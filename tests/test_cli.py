@@ -141,6 +141,7 @@ def test_plan_subcommand(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "gadgets:" in captured.out
     assert "validated payloads" in captured.out
+    assert "assembly errors: {'mprotect': " in captured.out
     assert status in (0, 1)  # chain presence depends on the build
 
 
@@ -157,7 +158,7 @@ def test_extract_trace_flag_writes_valid_jsonl(compiled, tmp_path, capsys):
     trace = tmp_path / "t.jsonl"
     assert (
         main(
-            ["extract", str(compiled), "--max-insns", "4", "--jobs", "1",
+            ["extract", str(compiled), "--max-insns", "4",
              "--no-cache", "--trace", str(trace)]
         )
         == 0
@@ -171,7 +172,7 @@ def test_extract_trace_flag_writes_valid_jsonl(compiled, tmp_path, capsys):
 
 def test_trace_subcommand_summarizes(compiled, tmp_path, capsys):
     trace = tmp_path / "t.jsonl"
-    main(["extract", str(compiled), "--max-insns", "4", "--jobs", "1",
+    main(["extract", str(compiled), "--max-insns", "4",
           "--no-cache", "--trace", str(trace)])
     capsys.readouterr()
     assert main(["trace", str(trace)]) == 0

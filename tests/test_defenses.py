@@ -34,9 +34,8 @@ from repro.defenses import (
     validate_payload_with_policy,
 )
 from repro.emulator import Sys
-from repro.gadgets.extract import extract_gadgets
-from repro.gadgets.subsumption import deduplicate_gadgets
 from repro.isa import Reg, assemble_unit
+from repro.pipeline import extract_pool, winnow_pool
 from repro.planner import GadgetPlanner, PlannerConfig, mprotect_goal, resolve_goal
 from repro.symex.executor import EndKind
 
@@ -76,7 +75,7 @@ def rich_image():
 
 @pytest.fixture(scope="module")
 def rich_pool(rich_image):
-    return deduplicate_gadgets(extract_gadgets(rich_image))
+    return winnow_pool(extract_pool(rich_image))
 
 
 # -- policies ----------------------------------------------------------------

@@ -6,14 +6,13 @@ from repro.gadgets import (
     ExtractionConfig,
     JmpType,
     count_by_type,
-    deduplicate_gadgets,
-    extract_gadgets,
     scan_syntactic_gadgets,
     subsumes,
     total_gadgets,
 )
 from repro.gadgets.subsumption import SubsumptionStats
 from repro.isa import Op, Reg, assemble_unit
+from repro.pipeline import extract_pool, winnow_pool
 from repro.symex import bv_const, stack_sym
 
 
@@ -24,7 +23,7 @@ def image_for(source):
 
 def extract(source, **cfg):
     image = image_for(source)
-    return extract_gadgets(image, ExtractionConfig(**cfg))
+    return extract_pool(image, ExtractionConfig(**cfg))
 
 
 def find_gadget(records, mnemonic_seq):
@@ -157,8 +156,8 @@ def test_clobbered_vs_controlled():
 def test_max_candidates_cap():
     source = "\n".join("pop rax\nret" for _ in range(20))
     image = image_for(source)
-    few = extract_gadgets(image, ExtractionConfig(max_candidates=3))
-    many = extract_gadgets(image, ExtractionConfig())
+    few = extract_pool(image, ExtractionConfig(max_candidates=3))
+    many = extract_pool(image, ExtractionConfig())
     assert len(few) <= len(many)
     assert len(few) <= 3 * 6  # ≤ candidates × fork budget
 
@@ -216,7 +215,7 @@ def test_identical_gadgets_deduplicate():
     ]
     assert len(full_copies) >= 2
     stats = SubsumptionStats()
-    kept = deduplicate_gadgets(full_copies, stats=stats)
+    kept = winnow_pool(full_copies, stats)
     assert len(kept) == 1
     assert stats.reduction_factor >= 2
 
@@ -231,7 +230,7 @@ def test_semantically_equal_but_syntactically_different():
         and r.stack_delta == 8
     ]
     assert len(zeroers) >= 2
-    kept = deduplicate_gadgets(zeroers)
+    kept = winnow_pool(zeroers)
     assert len(kept) == 1
 
 
@@ -242,7 +241,7 @@ def test_different_semantics_not_merged():
         r for r in records if [i.info.mnemonic for i in r.insns] == ["pop", "ret"]
     ]
     # pop rdi vs pop rsi must both survive.
-    kept = deduplicate_gadgets(pool)
+    kept = winnow_pool(pool)
     controlled = {tuple(sorted(r.ctrl_regs)) for r in kept}
     assert (Reg.RDI,) in controlled
     assert (Reg.RSI,) in controlled
@@ -273,7 +272,7 @@ def test_subsumption_prefers_weaker_precondition():
         and r.stack_delta == 16
     ]
     if len(pool) >= 2:
-        kept = deduplicate_gadgets(pool)
+        kept = winnow_pool(pool)
         assert len(kept) < len(pool)
 
 
@@ -292,6 +291,6 @@ def test_dedup_preserves_memory_write_gadgets():
     records = extract("mov [rdi+0], rsi\nret\npop rax\nret")
     writers = [r for r in records if r.has_side_memory_writes]
     poppers = [r for r in records if r.ctrl_regs]
-    kept = deduplicate_gadgets(records)
+    kept = winnow_pool(records)
     assert any(r.has_side_memory_writes for r in kept)
     assert any(r.ctrl_regs for r in kept)

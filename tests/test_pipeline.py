@@ -1,18 +1,18 @@
 """repro.pipeline — determinism, serialization, and cache correctness.
 
-The performance layer's contract is strict: for any worker count the
-parallel pools are byte-identical to the serial reference paths, and a
-cache hit returns the identical pool while performing zero symbolic
-execution.  Everything here runs on small windows so tier-1 stays fast;
-the timing/speedup claims live in ``benchmarks/test_pipeline_perf.py``.
+The contract is strict: pools serialize canonically, and a cache hit
+returns the byte-identical pool while performing zero symbolic
+execution or solver work.  Everything here runs on small windows so
+tier-1 stays fast; the timing claims live in
+``benchmarks/test_pipeline_perf.py``.
 """
 
 import pytest
 
 from repro.bench.harness import build
-from repro.gadgets.extract import ExtractionConfig, ExtractionStats, extract_gadgets
+from repro.gadgets.extract import ExtractionConfig, ExtractionStats
 from repro.gadgets.record import GadgetRecord
-from repro.gadgets.subsumption import SubsumptionStats, deduplicate_gadgets
+from repro.gadgets.subsumption import SubsumptionStats, bucketize, winnow_bucket
 from repro.pipeline import (
     ResultCache,
     extract_pool,
@@ -28,15 +28,6 @@ from repro.symex.expr import bv_add, bv_const, bv_eq, bv_sym
 
 SMALL = ExtractionConfig(max_insns=5, max_paths=2)
 
-#: (program, obfuscation config) triple the determinism tests sweep —
-#: plain, LLVM-style, and Tigress-style builds exercise different
-#: gadget shapes (aligned/unaligned mixes, dispatcher chains).
-TARGETS = [
-    ("bubble_sort", "none"),
-    ("bubble_sort", "llvm_obf"),
-    ("binary_search", "tigress"),
-]
-
 
 def _image(name, config_name):
     return build(name, config_name, 7).image
@@ -47,7 +38,7 @@ def _image(name, config_name):
 
 def test_record_round_trip_identity():
     image = _image("bubble_sort", "llvm_obf")
-    records = extract_gadgets(image, SMALL)
+    records = extract_pool(image, SMALL)
     assert records, "need a non-empty pool to round-trip"
     for record in records:
         blob = record_to_bytes(record)
@@ -58,7 +49,7 @@ def test_record_round_trip_identity():
 
 def test_record_methods_round_trip():
     image = _image("bubble_sort", "none")
-    record = extract_gadgets(image, SMALL)[0]
+    record = extract_pool(image, SMALL)[0]
     restored = GadgetRecord.from_bytes(record.to_bytes())
     assert restored == record
     # Expressions restore to the exact same structure, not just equal
@@ -68,40 +59,11 @@ def test_record_methods_round_trip():
 
 def test_pool_round_trip_and_determinism():
     image = _image("bubble_sort", "llvm_obf")
-    records = extract_gadgets(image, SMALL)
+    records = extract_pool(image, SMALL)
     blob = pool_to_bytes(records)
     assert pool_to_bytes(pool_from_bytes(blob)) == blob
     # Re-extracting yields the same bytes: the encoding is canonical.
-    assert pool_to_bytes(extract_gadgets(image, SMALL)) == blob
-
-
-# -- parallel == serial -----------------------------------------------------
-
-
-@pytest.mark.parametrize("name,config_name", TARGETS)
-def test_parallel_extraction_byte_identical(name, config_name):
-    image = _image(name, config_name)
-    serial = pool_to_bytes(extract_gadgets(image, SMALL))
-    for jobs in (1, 2, 4):
-        stats = ExtractionStats()
-        parallel = extract_pool(image, SMALL, stats, jobs=jobs)
-        assert pool_to_bytes(parallel) == serial, f"jobs={jobs}"
-        assert stats.jobs == jobs
-        assert stats.records == len(parallel)
-
-
-@pytest.mark.parametrize("name,config_name", TARGETS)
-def test_parallel_winnow_byte_identical(name, config_name):
-    image = _image(name, config_name)
-    records = extract_gadgets(image, SMALL)
-    ser_stats = SubsumptionStats()
-    serial = pool_to_bytes(deduplicate_gadgets(records, stats=ser_stats))
-    for jobs in (1, 2, 4):
-        stats = SubsumptionStats()
-        parallel = winnow_pool(records, stats, jobs=jobs)
-        assert pool_to_bytes(parallel) == serial, f"jobs={jobs}"
-        assert stats.solver_checks == ser_stats.solver_checks
-        assert stats.output_count == ser_stats.output_count
+    assert pool_to_bytes(extract_pool(image, SMALL)) == blob
 
 
 # -- persistent cache -------------------------------------------------------
@@ -111,11 +73,11 @@ def test_cache_hit_identical_and_skips_symex(tmp_path):
     image = _image("bubble_sort", "llvm_obf")
     cache = ResultCache(root=tmp_path)
     cold_stats = ExtractionStats()
-    cold = extract_pool(image, SMALL, cold_stats, jobs=1, cache=cache)
+    cold = extract_pool(image, SMALL, cold_stats, cache=cache)
     assert cold_stats.cache_misses == 1 and cold_stats.symex_invocations > 0
 
     warm_stats = ExtractionStats()
-    warm = extract_pool(image, SMALL, warm_stats, jobs=1, cache=cache)
+    warm = extract_pool(image, SMALL, warm_stats, cache=cache)
     assert pool_to_bytes(warm) == pool_to_bytes(cold)
     assert warm_stats.cache_hits == 1
     assert warm_stats.symex_invocations == 0, "warm run must not re-execute"
@@ -127,39 +89,39 @@ def test_cache_hit_identical_and_skips_symex(tmp_path):
 def test_cache_invalidates_on_image_and_config_change(tmp_path):
     cache = ResultCache(root=tmp_path)
     image = _image("bubble_sort", "llvm_obf")
-    extract_pool(image, SMALL, jobs=1, cache=cache)
+    extract_pool(image, SMALL, cache=cache)
 
     # Different image bytes -> different key -> miss.
     other_stats = ExtractionStats()
-    extract_pool(_image("binary_search", "llvm_obf"), SMALL, other_stats, jobs=1, cache=cache)
+    extract_pool(_image("binary_search", "llvm_obf"), SMALL, other_stats, cache=cache)
     assert other_stats.cache_hits == 0 and other_stats.cache_misses == 1
 
     # Different config -> different key -> miss.
     tweaked = ExtractionConfig(max_insns=SMALL.max_insns + 1, max_paths=SMALL.max_paths)
     cfg_stats = ExtractionStats()
-    extract_pool(image, tweaked, cfg_stats, jobs=1, cache=cache)
+    extract_pool(image, tweaked, cfg_stats, cache=cache)
     assert cfg_stats.cache_hits == 0 and cfg_stats.cache_misses == 1
 
 
 def test_cache_corrupt_entry_is_a_miss(tmp_path):
     cache = ResultCache(root=tmp_path)
     image = _image("bubble_sort", "none")
-    extract_pool(image, SMALL, jobs=1, cache=cache)
+    extract_pool(image, SMALL, cache=cache)
     (entry,) = list(tmp_path.rglob("*.pool"))
     entry.write_bytes(b"NFLC garbage")
     stats = ExtractionStats()
-    records = extract_pool(image, SMALL, stats, jobs=1, cache=cache)
+    records = extract_pool(image, SMALL, stats, cache=cache)
     assert stats.cache_hits == 0 and stats.cache_misses == 1
-    assert records == extract_gadgets(image, SMALL)
+    assert records == extract_pool(image, SMALL)
 
 
 def test_winnow_cache_round_trip(tmp_path):
     cache = ResultCache(root=tmp_path)
     image = _image("bubble_sort", "llvm_obf")
-    records = extract_gadgets(image, SMALL)
-    cold = winnow_pool(records, jobs=1, cache=cache, image=image, config=SMALL)
+    records = extract_pool(image, SMALL)
+    cold = winnow_pool(records, cache=cache, image=image, config=SMALL)
     warm_stats = SubsumptionStats()
-    warm = winnow_pool(records, warm_stats, jobs=1, cache=cache, image=image, config=SMALL)
+    warm = winnow_pool(records, warm_stats, cache=cache, image=image, config=SMALL)
     assert pool_to_bytes(warm) == pool_to_bytes(cold)
     assert warm_stats.cache_hits == 1
     assert warm_stats.solver_checks == 0, "warm winnow must not re-check"
@@ -168,15 +130,25 @@ def test_winnow_cache_round_trip(tmp_path):
 def test_run_pipeline_warm_end_to_end(tmp_path):
     image = _image("bubble_sort", "llvm_obf")
     cache = ResultCache(root=tmp_path)
-    cold_records, cold_survivors = run_pipeline(image, SMALL, jobs=2, cache=cache)
+    cold_records, cold_survivors = run_pipeline(image, SMALL, cache=cache)
     es, ss = ExtractionStats(), SubsumptionStats()
     records, survivors = run_pipeline(
-        image, SMALL, jobs=2, cache=cache, extraction_stats=es, winnow_stats=ss
+        image, SMALL, cache=cache, extraction_stats=es, winnow_stats=ss
     )
     assert es.cache_hit and ss.cache_hit
     assert es.symex_invocations == 0 and ss.solver_checks == 0
     assert pool_to_bytes(records) == pool_to_bytes(cold_records)
     assert pool_to_bytes(survivors) == pool_to_bytes(cold_survivors)
+
+
+def test_jobs_other_than_one_raise():
+    from repro.planner import GadgetPlanner
+
+    image = _image("bubble_sort", "none")
+    with pytest.raises(ValueError, match="jobs=2"):
+        run_pipeline(image, SMALL, jobs=2)
+    with pytest.raises(ValueError, match="jobs=2"):
+        GadgetPlanner(image, jobs=2)
 
 
 # -- memoization ------------------------------------------------------------
@@ -197,13 +169,16 @@ def test_solver_check_memo():
 
 def test_winnow_memo_counters():
     image = _image("bubble_sort", "llvm_obf")
-    records = extract_gadgets(image, ExtractionConfig(max_insns=6, max_paths=3))
+    records = extract_pool(image, ExtractionConfig(max_insns=6, max_paths=3))
     stats = SubsumptionStats()
-    survivors = deduplicate_gadgets(records, stats=stats)
+    survivors = winnow_pool(records, stats)
     assert stats.memo_hits <= stats.implication_queries
     assert 0.0 <= stats.memo_hit_rate <= 1.0
     # The memo must not change the outcome.
-    assert pool_to_bytes(survivors) == pool_to_bytes(winnow_pool(records, jobs=1))
+    solver = Solver(max_conflicts=2000)
+    unmemoized = [kept for b in bucketize(records) for kept in winnow_bucket(b, solver)]
+    unmemoized.sort(key=lambda g: g.location)
+    assert pool_to_bytes(survivors) == pool_to_bytes(unmemoized)
 
 
 # -- CLI --------------------------------------------------------------------
@@ -224,14 +199,12 @@ def test_cli_extract_cold_then_warm(tmp_path, capsys):
         "5",
         "--max-paths",
         "2",
-        "--jobs",
-        "2",
         "--cache-dir",
         str(cache_dir),
     ]
     assert main(argv) == 0
     cold_out = capsys.readouterr().out
-    assert "cache=miss" in cold_out and "jobs=2" in cold_out
+    assert "cache=miss" in cold_out
 
     assert main(argv) == 0
     warm_out = capsys.readouterr().out
@@ -247,70 +220,11 @@ def test_cli_census_semantic_no_cache(tmp_path, capsys):
     binary = tmp_path / "prog.nflf"
     binary.write_bytes(image.to_bytes())
     assert (
-        main(["census", str(binary), "--semantic", "--max-insns", "4", "--jobs", "1", "--no-cache"])
+        main(["census", str(binary), "--semantic", "--max-insns", "4", "--no-cache"])
         == 0
     )
     out = capsys.readouterr().out
     assert "after subsumption" in out and "cache=off" in out
-
-
-# -- warm-cache stats regression --------------------------------------------
-
-
-def test_warm_cache_reports_requested_jobs(tmp_path):
-    """A cache hit used to leave ``stats.jobs`` at its default (1),
-    misreporting the run's configuration in summaries and BENCH files."""
-    image = _image("bubble_sort", "llvm_obf")
-    cache = ResultCache(root=tmp_path)
-    run_pipeline(image, SMALL, jobs=2, cache=cache)  # populate
-
-    es, ss = ExtractionStats(), SubsumptionStats()
-    run_pipeline(image, SMALL, jobs=3, cache=cache, extraction_stats=es, winnow_stats=ss)
-    assert es.cache_hit and ss.cache_hit
-    assert es.jobs == 3, "warm extract must report the configured jobs"
-    assert ss.jobs == 3, "warm winnow must report the configured jobs"
-
-
-def test_cli_warm_summary_line_reports_jobs(tmp_path, capsys):
-    from repro.cli import main
-
-    image = _image("bubble_sort", "llvm_obf")
-    binary = tmp_path / "prog.nflf"
-    binary.write_bytes(image.to_bytes())
-    argv = [
-        "extract", str(binary),
-        "--max-insns", "5", "--max-paths", "2",
-        "--jobs", "2", "--cache-dir", str(tmp_path / "cache"),
-    ]
-    assert main(argv) == 0
-    capsys.readouterr()
-    assert main(argv) == 0
-    warm_line = next(
-        line for line in capsys.readouterr().out.splitlines() if "cache=hit" in line
-    )
-    assert "jobs=2" in warm_line
-
-
-# -- worker decode-graph preload --------------------------------------------
-
-
-def test_extract_worker_initializer_preloads_graph():
-    from repro.gadgets.extract import plan_candidates
-    from repro.pipeline.parallel import _WORKER, _extract_chunk, _init_extract_worker
-
-    image = _image("bubble_sort", "none")
-    graph, candidates = plan_candidates(image, SMALL)
-    serial = pool_to_bytes(extract_gadgets(image, SMALL))
-
-    _init_extract_worker(image.text.data, image.text.addr, SMALL, graph)
-    assert _WORKER["executor"]._decode_cache, "graph cache must be preloaded"
-    with_graph, tree, _ = _extract_chunk((0, candidates))
-    assert tree["name"] == "extract.symex.run" and tree["counters"]["shard"] == 0
-
-    # Spawn-style contexts pass no graph; the pool must not change.
-    _init_extract_worker(image.text.data, image.text.addr, SMALL, None)
-    without_graph, _, _ = _extract_chunk((0, candidates))
-    assert with_graph == without_graph == serial
 
 
 # -- cache corruption and concurrency ---------------------------------------
@@ -320,7 +234,7 @@ def _stored_entry(tmp_path, name="bubble_sort"):
     cache = ResultCache(root=tmp_path)
     image = _image(name, "none")
     image_bytes = image.to_bytes()
-    records = extract_gadgets(image, SMALL)
+    records = extract_pool(image, SMALL)
     path = cache.store_pool("extract", image_bytes, SMALL, records, meta={"candidates": 3})
     return cache, image_bytes, records, path
 
@@ -377,24 +291,24 @@ def test_cache_concurrent_stores_race_benignly(tmp_path):
 # -- trace structure ---------------------------------------------------------
 
 
-def _traced_pipeline(image, cache, jobs):
+def _traced_pipeline(image, cache):
     from repro.obs import Tracer, metrics, reset_metrics, tracing
 
     es, ss = ExtractionStats(), SubsumptionStats()
     reset_metrics()
     tracer = Tracer()
     with tracing(tracer):
-        run_pipeline(image, SMALL, jobs=jobs, cache=cache, extraction_stats=es, winnow_stats=ss)
+        run_pipeline(image, SMALL, cache=cache, extraction_stats=es, winnow_stats=ss)
     return tracer.to_lines(metrics=metrics().to_dict()), es, ss
 
 
-def test_trace_covers_pipeline_with_worker_shards(tmp_path):
+def test_trace_covers_serial_pipeline(tmp_path):
     import pytest as _pytest
 
     from repro.obs import validate_trace_lines
 
     image = _image("bubble_sort", "llvm_obf")
-    lines, es, ss = _traced_pipeline(image, None, jobs=4)
+    lines, es, ss = _traced_pipeline(image, None)
     spans = validate_trace_lines(lines)
     names = {s["name"] for s in spans}
     assert {
@@ -407,16 +321,13 @@ def test_trace_covers_pipeline_with_worker_shards(tmp_path):
         "winnow",
         "winnow.bucketize",
         "winnow.buckets",
-        "winnow.buckets.run",
     } <= names
-    # Per-worker shard spans land under the symex stage, in shard order.
+    # One in-process symex run under the symex stage covers every candidate.
     symex_id = next(s["id"] for s in spans if s["name"] == "extract.symex")
-    shards = [
-        s["counters"]["shard"]
-        for s in spans
-        if s["parent"] == symex_id and s["name"] == "extract.symex.run"
-    ]
-    assert shards == sorted(shards) and len(shards) >= 2
+    (run,) = [s for s in spans if s["name"] == "extract.symex.run"]
+    assert run["parent"] == symex_id
+    assert run["counters"]["candidates"] == es.symex_invocations
+    assert run["counters"]["records"] == es.records
     # The stats fields are span-derived: the trace and the summary agree.
     extract_root = next(s for s in spans if s["name"] == "extract")
     assert extract_root["wall"] == _pytest.approx(es.wall_total, rel=0.05)
@@ -429,9 +340,9 @@ def test_warm_trace_byte_stable_modulo_timestamps(tmp_path):
 
     image = _image("bubble_sort", "llvm_obf")
     cache = ResultCache(root=tmp_path)
-    run_pipeline(image, SMALL, jobs=2, cache=cache)  # populate
+    run_pipeline(image, SMALL, cache=cache)  # populate
 
-    first, es1, _ = _traced_pipeline(image, cache, jobs=4)
-    second, es2, _ = _traced_pipeline(image, cache, jobs=4)
+    first, es1, _ = _traced_pipeline(image, cache)
+    second, es2, _ = _traced_pipeline(image, cache)
     assert es1.symex_invocations == 0 and es2.symex_invocations == 0
     assert strip_timestamps(first) == strip_timestamps(second)

@@ -4,8 +4,9 @@ causal links, linearization — the α/β/γ/δ/ε bookkeeping of Sec. IV-D."""
 import pytest
 
 from repro.binfmt import make_image
-from repro.gadgets import ExtractionConfig, extract_gadgets
+from repro.gadgets import ExtractionConfig
 from repro.isa import Reg, assemble_unit
+from repro.pipeline import extract_pool
 from repro.planner.conditions import RegCondition
 from repro.planner.plan import GOAL_STEP, PartialPlan
 
@@ -31,7 +32,7 @@ def gadget_pool():
         base_addr=0x400000,
     )
     image = make_image(unit.code, symbols=dict(unit.labels))
-    records = extract_gadgets(image, ExtractionConfig(probe_unaligned=False))
+    records = extract_pool(image, ExtractionConfig(probe_unaligned=False))
     by_label = {}
     for name, addr in unit.labels.items():
         for r in records:

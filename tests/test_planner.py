@@ -295,3 +295,22 @@ def test_describe_chain_renders():
     text = report.payloads[0].describe()
     assert "payload[mmap]" in text
     assert "goal:" in text
+
+
+def test_rejected_assemblies_are_counted_per_goal(monkeypatch):
+    import repro.planner as planner_mod
+    from repro.planner import AssemblyError
+
+    clean, _ = plan_on(RICH_GADGETS, goals=[mprotect_goal(addr=0x600000), mmap_goal()])
+    assert clean.assembly_errors == {"mprotect": 0, "mmap": 0}
+
+    def reject(plan, resolved, **kwargs):
+        raise AssemblyError("orderings admit no valid linearization")
+
+    monkeypatch.setattr(planner_mod, "assemble_payload", reject)
+    report, _ = plan_on(RICH_GADGETS, goals=[mprotect_goal(addr=0x600000), mmap_goal()])
+    assert report.payloads == []
+    for goal in ("mprotect", "mmap"):
+        plans = report.search_stats[goal].plans_emitted
+        assert plans >= 1
+        assert report.assembly_errors[goal] == plans

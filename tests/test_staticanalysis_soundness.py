@@ -10,7 +10,8 @@ requires the two record sets to be identical, field for field.
 import pytest
 
 from repro.bench import BENCHMARK_SUITE, build
-from repro.gadgets import ExtractionConfig, ExtractionStats, extract_gadgets
+from repro.gadgets import ExtractionConfig, ExtractionStats
+from repro.pipeline import extract_pool
 
 #: Small budgets keep the 12 x 3 matrix fast while still exercising
 #: forks, merged direct jumps, and the candidate cap's sampling.
@@ -42,10 +43,10 @@ def test_prefilter_preserves_gadget_pool(program, config_name):
     image = build(program, config_name).image
     with_stats = ExtractionStats()
     without_stats = ExtractionStats()
-    with_filter = extract_gadgets(
+    with_filter = extract_pool(
         image, ExtractionConfig(semantic_prefilter=True, **_BASE), with_stats
     )
-    without_filter = extract_gadgets(
+    without_filter = extract_pool(
         image, ExtractionConfig(semantic_prefilter=False, **_BASE), without_stats
     )
     assert [_record_key(r) for r in with_filter] == [
