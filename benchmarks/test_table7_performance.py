@@ -43,8 +43,9 @@ def test_extraction_stage_speedup(benchmark, record_table):
     """The static-analysis layer's effect on the extraction stage:
 
     * the shared :class:`DecodeGraph` (decode each byte once, plus the
-      ever-reaches precheck) accelerates the candidate scan several-fold
-      over the legacy per-offset decode loop, with identical candidates;
+      exact distance bound that rejects offsets without walking)
+      accelerates the candidate scan many-fold over the legacy
+      per-offset decode loop, with identical candidates;
     * the semantic prefilter then drops a quarter-plus of the surviving
       candidates before symbolic execution, with an identical pool.
     """

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import tracemalloc
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from ..baselines import AngropLike, ROPGadgetLike, SGCLike
 from ..compiler.link import LinkedProgram
@@ -28,8 +28,11 @@ from ..gadgets.record import JmpType
 from ..obfuscation.pipeline import CONFIGS, SINGLE_METHOD_CONFIGS, build_program
 from ..planner import GadgetPlanner, PlannerConfig
 from ..planner.payload import AttackPayload
+from ..staticanalysis.decode_graph import shared_decode_graph
 from .programs import BENCHMARK_SUITE, CORE_SUITE, BenchProgram
 from .spec_programs import SPEC_SUITE
+
+T = TypeVar("T")
 
 DEFAULT_SEED = 7
 
@@ -481,19 +484,35 @@ class Table7Row:
     peak_mb: float
 
 
+def _cold_run(run: Callable[[], T]) -> Tuple[T, float]:
+    """``run()`` twice from a cold decode-graph cache: once plain, for the
+    result (and the timings in it), and once under ``tracemalloc``, for
+    the peak traced memory in MB only.  ``tracemalloc`` slows Python
+    several-fold, so no time is ever taken from the second run."""
+    shared_decode_graph.cache_clear()
+    result = run()
+    shared_decode_graph.cache_clear()
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak / 1e6
+
+
 def table7_performance(config: str = "llvm_obf", seed: int = DEFAULT_SEED) -> List[Table7Row]:
     from .netperf import netperf_image
 
     linked = netperf_image(CONFIGS[config], seed=seed)
     rows: List[Table7Row] = []
 
-    # Gadget-Planner, instrumented per stage.
-    tracemalloc.start()
-    planner = GadgetPlanner(linked.image, extraction=BENCH_EXTRACTION, planner=BENCH_PLANNER)
-    report = planner.run()
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    peak_mb = peak / 1e6
+    # Gadget-Planner, timed per stage by its own spans.
+    report, peak_mb = _cold_run(
+        lambda: GadgetPlanner(
+            linked.image, extraction=BENCH_EXTRACTION, planner=BENCH_PLANNER
+        ).run()
+    )
     t = report.timings
     rows += [
         Table7Row("gadget_planner", "gadget extraction", t.extraction, peak_mb),
@@ -503,26 +522,25 @@ def table7_performance(config: str = "llvm_obf", seed: int = DEFAULT_SEED) -> Li
         Table7Row("gadget_planner", "total", t.total, peak_mb),
     ]
     for tool in ("angrop", "sgc"):
-        tracemalloc.start()
-        baseline_report = _make_tool(tool).run(linked.image)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
+        baseline_report, peak_mb = _cold_run(lambda: _make_tool(tool).run(linked.image))
         rows += [
-            Table7Row(tool, "gadgets finding", baseline_report.finding_time, peak / 1e6),
-            Table7Row(tool, "chain generating", baseline_report.chaining_time, peak / 1e6),
+            Table7Row(tool, "gadgets finding", baseline_report.finding_time, peak_mb),
+            Table7Row(tool, "chain generating", baseline_report.chaining_time, peak_mb),
             Table7Row(
                 tool,
                 "total",
                 baseline_report.finding_time + baseline_report.chaining_time,
-                peak / 1e6,
+                peak_mb,
             ),
         ]
     return rows
 
 
 def format_table7(rows: List[Table7Row]) -> str:
+    """The rows as a table, stamped with the tree that formats them
+    (callers format right after measuring)."""
     header = f"{'tool':<16}{'stage':<22}{'time (s)':>10}{'peak MB':>10}"
-    lines = [header, "-" * len(header)]
+    lines = [f"({_stamp(_provenance())})", header, "-" * len(header)]
     for r in rows:
         lines.append(f"{r.tool:<16}{r.stage:<22}{r.seconds:>10.2f}{r.peak_mb:>10.1f}")
     return "\n".join(lines)
@@ -553,6 +571,26 @@ def _git_rev() -> Optional[str]:
     return out.stdout.strip() or None
 
 
+def _provenance() -> Dict:
+    """Where a measurement came from: git rev, ``PIPELINE_VERSION``, cpu_count."""
+    import os
+
+    from ..pipeline import PIPELINE_VERSION
+
+    return {
+        "git_rev": _git_rev(),
+        "pipeline_version": PIPELINE_VERSION,
+        "cpu_count": os.cpu_count(),
+    }
+
+
+def _stamp(stamp: Dict) -> str:
+    return (
+        f"git {stamp['git_rev']}, PIPELINE_VERSION={stamp['pipeline_version']}, "
+        f"cpu_count={stamp['cpu_count']}"
+    )
+
+
 def pipeline_benchmark(
     config_name: str = "llvm_obf",
     seed: int = DEFAULT_SEED,
@@ -570,13 +608,12 @@ def pipeline_benchmark(
     fields (:mod:`repro.obs`), the same measurements a ``--trace`` run
     exports — not from a second ad-hoc clock around the calls.
     """
-    import os
     import shutil
     import tempfile
 
     from ..gadgets.extract import ExtractionStats
     from ..gadgets.subsumption import SubsumptionStats
-    from ..pipeline import PIPELINE_VERSION, ResultCache, pool_to_bytes, run_pipeline
+    from ..pipeline import ResultCache, pool_to_bytes, run_pipeline
     from .netperf import netperf_image
 
     image = netperf_image(CONFIGS[config_name], seed=seed).image
@@ -601,11 +638,7 @@ def pipeline_benchmark(
         "benchmark": "netperf",
         "config": config_name,
         "seed": seed,
-        "provenance": {
-            "git_rev": _git_rev(),
-            "pipeline_version": PIPELINE_VERSION,
-            "cpu_count": os.cpu_count(),
-        },
+        "provenance": _provenance(),
         "cold": {
             "extracted": len(cold_records),
             "winnowed": len(cold_survivors),
@@ -637,9 +670,7 @@ def format_pipeline_bench(result: Dict) -> str:
     c = result["cache"]
     return "\n".join(
         [
-            f"pipeline perf on {result['benchmark']}/{result['config']} "
-            f"(git {stamp['git_rev']}, PIPELINE_VERSION={stamp['pipeline_version']}, "
-            f"cpu_count={stamp['cpu_count']})",
+            f"pipeline perf on {result['benchmark']}/{result['config']} ({_stamp(stamp)})",
             f"cold: extract {cold['extract_seconds']:.2f}s ({cold['extracted']} gadgets), "
             f"winnow {cold['winnow_seconds']:.2f}s ({cold['winnowed']} kept)",
             f"cache: cold {c['cold_seconds']:.2f}s -> warm {c['warm_seconds']:.3f}s "

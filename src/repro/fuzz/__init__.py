@@ -2,7 +2,8 @@
 
 The reproduction maintains five semantically-coupled views of every
 binary: the compiler, the concrete emulator, the symbolic executor,
-the static-analysis prefilter, and the winnowed gadget pools.  This
+the static-analysis prefilter, and the winnowed gadget pools (whose
+solver is itself cross-checked against a direct bit-blast).  This
 package hunts for disagreements between them with seeded generators
 (:mod:`.gen`), a bank of cross-layer oracles (:mod:`.oracles`), an
 auto-shrinker (:mod:`.shrink`), and a permanent regression corpus
@@ -21,7 +22,7 @@ from .corpus import (
     replay_corpus,
     save_case,
 )
-from .gen import gen_bytes, gen_program, gen_window, relayout, spec_of
+from .gen import gen_bytes, gen_constraints, gen_program, gen_window, relayout, spec_of
 from .oracles import (
     Case,
     Inconclusive,
@@ -31,6 +32,7 @@ from .oracles import (
     check_prefilter,
     check_roundtrip,
     check_serialize,
+    check_solver,
     check_window,
     check_winnow,
     run_case,
@@ -53,6 +55,7 @@ __all__ = [
     "replay_corpus",
     "save_case",
     "gen_bytes",
+    "gen_constraints",
     "gen_program",
     "gen_window",
     "relayout",
@@ -65,6 +68,7 @@ __all__ = [
     "check_prefilter",
     "check_roundtrip",
     "check_serialize",
+    "check_solver",
     "check_window",
     "check_winnow",
     "run_case",

@@ -6,8 +6,8 @@ seed: two runs with the same arguments produce byte-identical
 summaries (no wall-clock, no paths, no ordering races on stdout).
 
 Cheap oracles (round-trip, emulator-vs-symex) run every iteration;
-expensive ones (winnow, pipeline, planner, obfuscation) run on fixed
-sparse schedules so ``--iters 200`` stays within a CI smoke budget.
+expensive ones (solver, winnow, pipeline, planner, obfuscation) run on
+fixed sparse schedules so ``--iters 200`` stays within a CI smoke budget.
 When the caller restricts ``--oracle``, the schedule collapses to
 every-iteration for the selected oracles.
 
@@ -27,9 +27,9 @@ from ..gadgets.extract import ExtractionConfig
 from ..binfmt.image import make_image
 from ..isa.encoding import encode_program
 from ..obs import metrics, span
-from ..pipeline import extract_pool
+from ..pipeline import constraints_to_bytes, extract_pool
 from .corpus import save_case
-from .gen import gen_bytes, gen_program, gen_window
+from .gen import gen_bytes, gen_constraints, gen_program, gen_window
 from .oracles import (
     Case,
     EmulatorFactory,
@@ -39,6 +39,7 @@ from .oracles import (
     check_prefilter,
     check_roundtrip,
     check_serialize,
+    check_solver,
     check_window,
     check_winnow,
 )
@@ -54,6 +55,7 @@ SCHEDULE = {
     "pipeline": (50, 7),
     "planner": (100, 41),
     "obfuscation": (25, 11),
+    "solver": (10, 4),
 }
 
 ORACLE_NAMES = tuple(SCHEDULE)
@@ -257,6 +259,12 @@ def run_fuzz(
                         case,
                         check_obfuscation(source, configs, seed=seed),
                     )
+            if due("solver", i):
+                conjuncts = gen_constraints(random.Random(f"{seed}:{i}:solver"))
+                text = constraints_to_bytes(conjuncts)
+                case = Case(oracle="solver", kind="constraints", text=text)
+                with span("fuzz.solver"):
+                    record("solver", i, case, check_solver(conjuncts))
         root.add("iters", iters)
         root.add("failures", report.total_failures)
     return report

@@ -1,12 +1,15 @@
 """Seeded input generators for the differential fuzzer.
 
-Three families, mirroring the tentpole's (a)/(b)/(c):
+Four families:
 
 * :func:`gen_program` — well-formed mini-C programs whose only output
   is a self-checksum ``print``, suitable for cross-config equivalence;
 * :func:`gen_bytes` — raw byte images (unaligned-decode stress);
 * :func:`gen_window` — laid-out instruction windows ending in an
-  indirect transfer (the gadget-chain shape extraction consumes).
+  indirect transfer (the gadget-chain shape extraction consumes);
+* :func:`gen_constraints` — solver queries that hide a complementary
+  pair of comparisons behind operand swaps, strict/non-strict flips
+  and ``not`` wrappers.
 
 Everything is driven by an explicit ``random.Random`` so a campaign
 iteration is reproducible from ``(seed, iteration, oracle)`` alone.
@@ -26,6 +29,31 @@ from ..binfmt.image import DATA_BASE, TEXT_BASE
 from ..isa.encoding import encode_program
 from ..isa.instructions import Instruction, Op
 from ..isa.registers import Reg
+from ..symex.expr import (
+    BV,
+    BVConst,
+    Bool,
+    BoolConn,
+    BoolExpr,
+    Cmp,
+    CmpOp,
+    bool_and,
+    bool_or,
+    bv_add,
+    bv_and,
+    bv_const,
+    bv_mul,
+    bv_neg,
+    bv_not,
+    bv_or,
+    bv_shl,
+    bv_sub,
+    bv_sym,
+    bv_udiv,
+    bv_umod,
+    bv_xor,
+    cmp,
+)
 
 #: (instruction, jcc-target-item-index-or-None) — the editable form.
 WindowSpec = List[Tuple[Instruction, Optional[int]]]
@@ -203,3 +231,92 @@ def gen_program(rng: random.Random) -> str:
         "}",
     ]
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Solver queries
+# ---------------------------------------------------------------------------
+
+_SYMBOLS = ["rax0", "rcx0", "rdx0", "stk0", "mem0"]
+_CHEAP_BINOPS = [bv_add, bv_sub, bv_and, bv_or, bv_xor]
+#: Each costs a 64-bit multiplier or divider once bit-blasted.
+_HEAVY_BINOPS = [bv_udiv, bv_umod, bv_mul]
+_CMP_OPS = list(CmpOp)
+#: op -> (the op of its negation, whether the negation swaps operands).
+_NEGATION = {
+    CmpOp.EQ: (CmpOp.NE, False),
+    CmpOp.NE: (CmpOp.EQ, False),
+    CmpOp.ULT: (CmpOp.ULE, True),
+    CmpOp.ULE: (CmpOp.ULT, True),
+    CmpOp.SLT: (CmpOp.SLE, True),
+    CmpOp.SLE: (CmpOp.SLT, True),
+}
+
+
+def _gen_leaf(rng: random.Random) -> BV:
+    if rng.random() < 0.3:
+        return bv_const(rng.choice([0, 1, 7, 0xFF, (1 << 64) - 1, rng.getrandbits(64)]))
+    return bv_sym(rng.choice(_SYMBOLS))
+
+
+def _gen_term(rng: random.Random, heavy: bool) -> BV:
+    roll = rng.random()
+    if roll < 0.3:
+        return _gen_leaf(rng)
+    if roll < 0.4:
+        return rng.choice([bv_not, bv_neg])(_gen_leaf(rng))
+    if roll < 0.5:
+        return bv_shl(_gen_leaf(rng), rng.randrange(1, 8))
+    ops = _HEAVY_BINOPS if heavy else _CHEAP_BINOPS
+    return rng.choice(ops)(_gen_leaf(rng), _gen_leaf(rng))
+
+
+def _gen_atom(rng: random.Random, heavy: bool = False) -> Optional[Cmp]:
+    atom = cmp(rng.choice(_CMP_OPS), _gen_term(rng, heavy), _gen_term(rng, False))
+    return atom if isinstance(atom, Cmp) else None  # folded to a constant
+
+
+def _not(arg: Bool) -> Bool:
+    # A raw NOT node: ``bool_not`` would fold it into a comparison.
+    return BoolExpr(BoolConn.NOT, (arg,))
+
+
+def _restate(rng: random.Random, atom: Cmp) -> Bool:
+    """``atom`` in a syntactically different but equivalent form."""
+    if atom.op in (CmpOp.EQ, CmpOp.NE) and rng.random() < 0.5:
+        atom = Cmp(atom.op, atom.rhs, atom.lhs)
+    return _not(_not(atom)) if rng.random() < 0.25 else atom
+
+
+def _complement(rng: random.Random, atom: Cmp) -> Bool:
+    """The negation of ``atom``, in one of the forms a solver must see through."""
+    if rng.random() < 0.4:
+        return _not(_restate(rng, atom))
+    op, swap = _NEGATION[atom.op]
+    negated = Cmp(op, atom.rhs, atom.lhs) if swap else Cmp(op, atom.lhs, atom.rhs)
+    return _restate(rng, negated)
+
+
+def gen_constraints(rng: random.Random) -> List[Bool]:
+    """A solver query: noise comparisons, usually plus one hidden
+    complementary pair whose sides may sit inside ``and``/``or`` groups.
+
+    One query in eight puts a ``udiv``/``umod``/``mul`` term in the pair
+    (the shape of winnowing's costliest queries); those are rare because
+    a direct bit-blast of one costs a 64-bit multiplier or divider.
+    """
+    noise = [a for a in (_gen_atom(rng) for _ in range(rng.randrange(0, 4))) if a is not None]
+    if rng.random() < 0.3 and len(noise) >= 2:
+        noise = [bool_or(noise[0], noise[1])] + noise[2:]
+    conjuncts: List[Bool] = list(noise)
+    pair = _gen_atom(rng, heavy=rng.random() < 0.125) if rng.random() < 0.75 else None
+    if pair is not None:
+        sides = [_restate(rng, pair), _complement(rng, pair)]
+        if conjuncts and rng.random() < 0.5:
+            # Hide one side in a conjunction with a noise atom.
+            sides[0] = bool_and(conjuncts.pop(), sides[0])
+        conjuncts.extend(sides)
+    if not conjuncts:
+        conjuncts.append(Cmp(CmpOp.ULT, bv_sym(rng.choice(_SYMBOLS)), BVConst(rng.getrandbits(64))))
+    rng.shuffle(conjuncts)
+    return conjuncts

@@ -36,6 +36,10 @@ The oracles:
     A defenses-off policy produces the same payloads as no policy.
 ``obfuscation``
     Every obfuscation config preserves a program's concrete output.
+``solver``
+    Every SAT model the :class:`~repro.solver.Solver` returns satisfies
+    each constraint under ``eval_bool``, and no query it answers UNSAT
+    is satisfiable under a direct bit-blast of the same constraints.
 """
 
 from __future__ import annotations
@@ -58,14 +62,18 @@ from ..isa.registers import ALL_REGS, MASK64, Flag, Reg
 from ..obfuscation.pipeline import CONFIGS, build_program
 from ..pipeline import (
     ResultCache,
+    constraints_from_bytes,
     extract_pool,
     pool_from_bytes,
     pool_to_bytes,
     run_pipeline,
     winnow_pool,
 )
+from ..solver.bitblast import BitBlaster, BlastError
+from ..solver.sat import SATBudgetExceeded, SATSolver
+from ..solver.solver import Solver
 from ..symex.executor import EndKind, SymbolicExecutor
-from ..symex.expr import eval_bool, eval_bv
+from ..symex.expr import Bool, eval_bool, eval_bv
 from ..symex.state import FLAG_SYM_PREFIX, reg_sym, stack_sym_offset
 from ..staticanalysis.decode_graph import shared_decode_graph
 from ..staticanalysis.window import WindowAnalyzer
@@ -82,7 +90,7 @@ class Case:
     """One replayable fuzz case (what the corpus serializes)."""
 
     oracle: str
-    kind: str  # "window" | "image" | "program"
+    kind: str  # "window" | "image" | "program" | "constraints"
     text: bytes = b""
     offset: int = 0
     env_seed: int = 0
@@ -509,6 +517,49 @@ def check_obfuscation(source: str, configs: Sequence[str], *, seed: int = 0) -> 
 
 
 # ---------------------------------------------------------------------------
+# solver verdicts vs concrete evaluation and a direct bit-blast
+# ---------------------------------------------------------------------------
+
+#: Conflict budget of both the solver under test and the direct encoding;
+#: a query that exhausts either is inconclusive.
+_SOLVER_CONFLICTS = 300
+
+
+class _ZeroFill(dict):
+    """A model in which symbols the solver left unconstrained read 0."""
+
+    def __missing__(self, name: str) -> int:
+        return 0
+
+
+def check_solver(conjuncts: Sequence[Bool]) -> List[str]:
+    """A SAT model satisfies every conjunct; an UNSAT verdict survives a
+    direct bit-blast of the same conjuncts.
+
+    Symbols missing from a model were simplified away (e.g. by equality
+    propagation), so any value for them must do.
+    """
+    result = Solver(max_conflicts=_SOLVER_CONFLICTS).check(conjuncts)
+    if result.is_sat:
+        env = _ZeroFill(result.model)
+        for c in conjuncts:
+            if not eval_bool(c, env):
+                return [f"solver: SAT model {dict(env)} violates {c}"]
+    elif result.is_unsat:
+        sat = SATSolver()
+        blaster = BitBlaster(sat)
+        try:
+            for c in conjuncts:
+                blaster.assert_bool(c)
+            direct = sat.solve(max_conflicts=_SOLVER_CONFLICTS)
+        except (BlastError, SATBudgetExceeded):
+            return []
+        if direct.satisfiable:
+            return ["solver: UNSAT, but a direct bit-blast of the query is satisfiable"]
+    return []
+
+
+# ---------------------------------------------------------------------------
 # case dispatch (corpus replay + shrinker re-checks)
 # ---------------------------------------------------------------------------
 
@@ -542,6 +593,8 @@ def run_case(case: Case, *, emulator_factory: EmulatorFactory = Emulator) -> Lis
         return check_planner(case.text)
     if case.oracle == "obfuscation":
         return check_obfuscation(case.source, case.configs or ("none",), seed=case.env_seed)
+    if case.oracle == "solver":
+        return check_solver(constraints_from_bytes(case.text))
     raise ValueError(f"unknown oracle {case.oracle!r}")
 
 

@@ -11,7 +11,8 @@ only if the original oracle still fails on it):
 * **byte trim** — for raw-image oracles, delete chunks (then single
   bytes) ddmin-style.
 
-Programs shrink by dropping whole source lines.  The shrinker never
+Programs shrink by dropping whole source lines, solver queries by
+dropping whole conjuncts.  The shrinker never
 invents inputs: every accepted candidate failed the same oracle, so
 the final case is a true minimal-ish reproducer suitable for the
 regression corpus.
@@ -23,6 +24,7 @@ from typing import Callable, List, Optional
 
 from ..isa.encoding import decode_window, encode_program
 from ..isa.instructions import Instruction, Op
+from ..pipeline import constraints_from_bytes, constraints_to_bytes
 from .gen import relayout, spec_of
 from .oracles import Case, Emulator, EmulatorFactory, clone_case, run_case
 
@@ -79,6 +81,8 @@ def shrink_case(
         return _shrink_bytes(case, fails, budget)
     if case.kind == "program":
         return _shrink_program(case, fails, budget)
+    if case.kind == "constraints":
+        return _shrink_constraints(case, fails, budget)
     return case
 
 
@@ -160,6 +164,23 @@ def _shrink_program(case: Case, fails: _Pred, budget: List[int]) -> Case:
         for k in range(len(lines)):
             candidate = clone_case(
                 current, source="\n".join(lines[:k] + lines[k + 1 :]) + "\n"
+            )
+            if fails(candidate):
+                current = candidate
+                changed = True
+                break
+    return current
+
+
+def _shrink_constraints(case: Case, fails: _Pred, budget: List[int]) -> Case:
+    current = case
+    changed = True
+    while changed and budget[0] > 0:
+        changed = False
+        conjuncts = constraints_from_bytes(current.text)
+        for k in range(len(conjuncts)):
+            candidate = clone_case(
+                current, text=constraints_to_bytes(conjuncts[:k] + conjuncts[k + 1 :])
             )
             if fails(candidate):
                 current = candidate

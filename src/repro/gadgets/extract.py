@@ -13,7 +13,8 @@ Candidate start addresses come from two sources, matching Sec. IV-B:
 Three stages of filtering feed the symbolic executor:
 
 1. a cheap syntactic prefilter (``syntactic_scan``) culls offsets that
-   cannot reach an indirect transfer under the configured walk rules;
+   cannot reach an indirect transfer within ``max_scan_steps`` under the
+   configured walk rules;
 2. a *semantic* prefilter (``staticanalysis.WindowAnalyzer``) culls
    survivors whose decode-graph distance to any indirect transfer
    exceeds the window budget — a sound proof that symbolic execution
@@ -35,13 +36,15 @@ from ..analysis.cfg import recover_cfg
 from ..binfmt.image import BinaryImage
 from ..isa.instructions import Op
 from ..obs import metrics, span
-from ..staticanalysis.decode_graph import DecodeGraph, shared_decode_graph
+from ..staticanalysis.decode_graph import (
+    INDIRECT_ENDS,
+    UNREACHABLE,
+    DecodeGraph,
+    shared_decode_graph,
+)
 from ..staticanalysis.window import WindowAnalyzer
 from ..symex.executor import SymbolicExecutor
 from .record import GadgetRecord, record_from_path
-
-#: Instructions that end a gadget usefully.
-_INDIRECT_ENDS = {Op.RET, Op.JMP_R, Op.JMP_M, Op.CALL_R, Op.SYSCALL}
 
 
 @dataclass
@@ -99,17 +102,24 @@ def syntactic_scan(
     bounded DFS) — essential on flattened code, where nearly every path
     to a ``ret`` goes through dispatcher compare-and-branch chains.
 
-    With a shared ``graph``, offsets that can *never* reach a transfer
-    under the configured walk rules are rejected without walking, and
-    the DFS reuses the graph's decode cache; the accept/reject result
-    is identical either way.
+    With a shared ``graph``, offsets whose shortest walk to a transfer
+    under the configured walk rules is longer than ``max_scan_steps``
+    are rejected without walking, and the DFS reuses the graph's decode
+    cache; the accept/reject result is identical either way.  The bound
+    is exact: the DFS accepts only on popping a terminator, when every
+    offset on its tree path to it is in ``seen``, and it pops only while
+    ``len(seen) < max_scan_steps`` — so an accepted offset has a walk of
+    at most ``max_scan_steps`` instructions.
     """
     if graph is not None:
-        reachable = graph.ever_reaches(
+        dist = graph.transfer_distances(
             merge_direct_jumps=config.merge_direct_jumps,
             include_conditional=config.include_conditional,
         )
-        if offset not in reachable:
+        if not 0 <= offset < len(dist):
+            return False
+        d = dist[offset]
+        if d == UNREACHABLE or d > config.max_scan_steps:
             return False
         decode_at = graph.decode_at
     else:
@@ -131,7 +141,7 @@ def syntactic_scan(
         insn = decode_at(cursor)
         if insn is None:
             continue
-        if insn.op in _INDIRECT_ENDS:
+        if insn.op in INDIRECT_ENDS:
             return True
         if insn.op == Op.HLT:
             continue

@@ -17,6 +17,8 @@ from .serialize import (
     FORMAT_VERSION,
     SerializationError,
     config_key_bytes,
+    constraints_from_bytes,
+    constraints_to_bytes,
     pool_from_bytes,
     pool_to_bytes,
     record_from_bytes,
@@ -31,6 +33,8 @@ __all__ = [
     "ResultCache",
     "SerializationError",
     "config_key_bytes",
+    "constraints_from_bytes",
+    "constraints_to_bytes",
     "default_cache_dir",
     "extract_pool",
     "pool_from_bytes",

@@ -37,6 +37,7 @@ from ..symex.expr import (
     BVSym,
     BVUn,
     BVUnOp,
+    Bool,
     BoolConn,
     BoolConst,
     BoolExpr,
@@ -431,6 +432,24 @@ def pool_from_bytes(blob: bytes) -> List[GadgetRecord]:
     if r.pos != len(blob):
         raise SerializationError(f"{len(blob) - r.pos} trailing bytes after pool")
     return records
+
+
+def constraints_to_bytes(conjuncts: Sequence[Bool]) -> bytes:
+    """Canonical encoding of a list of boolean constraints (a solver query)."""
+    w = _Writer()
+    w.varint(len(conjuncts))
+    for conjunct in conjuncts:
+        _write_expr(w, conjunct)
+    return bytes(w.buf)
+
+
+def constraints_from_bytes(blob: bytes) -> List[Bool]:
+    """Inverse of :func:`constraints_to_bytes`."""
+    r = _Reader(blob)
+    conjuncts = [_read_expr(r) for _ in range(r.varint())]
+    if r.pos != len(blob):
+        raise SerializationError(f"{len(blob) - r.pos} trailing bytes after constraints")
+    return conjuncts
 
 
 def config_key_bytes(config: Any) -> bytes:

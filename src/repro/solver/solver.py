@@ -8,10 +8,19 @@ Layered decision procedure:
    through the rest and the system re-simplified to a fixpoint.  This
    alone discharges the vast majority of plan-binding queries
    ("stack slot 3 must equal 59").
-3. **Random sampling**: a handful of random assignments to the free
+3. **Complementary atoms**: each residual conjunct is mapped to a
+   canonical ``(atom, polarity)`` — ``NOT`` flips the polarity,
+   ``a != b`` is ``not (a == b)`` with ``==`` unordered, ``a u<= b`` is
+   ``not (b u< a)`` and ``a s<= b`` is ``not (b s< a)`` — and an atom
+   asserted with both polarities is UNSAT at the word level.  This step
+   only ever answers UNSAT, so every SAT verdict and model is the one
+   the later layers give.  It discharges winnowing's costliest queries,
+   e.g. ``(x udiv y) != 0 and (x udiv y) == 0``, without bit-blasting
+   a 64-bit divider.
+4. **Random sampling**: a handful of random assignments to the free
    variables; any hit is a model.  Catches loose constraint systems
    without touching CNF.
-4. **Bit-blasting + CDCL SAT** (:mod:`repro.solver.bitblast`,
+5. **Bit-blasting + CDCL SAT** (:mod:`repro.solver.bitblast`,
    :mod:`repro.solver.sat`) as the complete fallback, with a conflict
    budget so pathological queries return UNKNOWN instead of hanging.
 """
@@ -21,7 +30,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..symex.expr import (
     BV,
@@ -121,6 +130,37 @@ def _propagate_equalities(conjuncts: List[Bool]) -> tuple[List[Bool], Dict[str, 
     return final, bindings, True
 
 
+def _polar_atom(conjunct: Bool) -> Tuple[object, bool]:
+    """``conjunct`` as a canonical ``(atom, polarity)`` pair.
+
+    Two conjuncts with the same atom and opposite polarities are
+    complementary: no assignment satisfies both.
+    """
+    polarity = True
+    while isinstance(conjunct, BoolExpr) and conjunct.conn is BoolConn.NOT:
+        conjunct = conjunct.args[0]
+        polarity = not polarity
+    if not isinstance(conjunct, Cmp):
+        return conjunct, polarity
+    op, lhs, rhs = conjunct.op, conjunct.lhs, conjunct.rhs
+    if op is CmpOp.EQ or op is CmpOp.NE:
+        return (CmpOp.EQ, frozenset((lhs, rhs))), polarity == (op is CmpOp.EQ)
+    if op is CmpOp.ULE:
+        return (CmpOp.ULT, rhs, lhs), not polarity
+    if op is CmpOp.SLE:
+        return (CmpOp.SLT, rhs, lhs), not polarity
+    return (op, lhs, rhs), polarity
+
+
+def _has_complementary_atoms(conjuncts: List[Bool]) -> bool:
+    polarities: Dict[object, bool] = {}
+    for c in conjuncts:
+        atom, polarity = _polar_atom(c)
+        if polarities.setdefault(atom, polarity) != polarity:
+            return True
+    return False
+
+
 class Solver:
     """Stateless checker over conjunctions of :class:`Bool` constraints.
 
@@ -147,6 +187,7 @@ class Solver:
         self._memo: Dict[tuple, SolverResult] = {}
         self.queries = 0
         self.memo_hits = 0
+        self.atom_refutations = 0  # checks refuted by complementary atoms
         self.sat_calls = 0  # checks that fell through to bit-blasting
         self.sat_conflicts = 0  # CDCL conflicts spent across those calls
         self.unknowns = 0  # budget/blast failures answered UNKNOWN
@@ -185,6 +226,14 @@ class Solver:
         if not residual:
             return SolverResult(Status.SAT, model=dict(bindings))
         symbols = sorted(set().union(*(free_symbols(c) for c in residual)))
+        if _has_complementary_atoms(residual):
+            self.atom_refutations += 1
+            metrics().counter("solver.atom_refutations").inc()
+            # Sampling would have drawn (and rejected) all its samples;
+            # draw them too, so the models of later checks are unchanged.
+            for _ in self._samples(symbols):
+                pass
+            return SolverResult(Status.UNSAT)
         sampled = self._try_sampling(residual, symbols)
         if sampled is not None:
             sampled.update(bindings)
@@ -212,9 +261,10 @@ class Solver:
 
     # -- internals ---------------------------------------------------------------
 
-    def _try_sampling(self, conjuncts: List[Bool], symbols: List[str]) -> Optional[Dict[str, int]]:
+    def _samples(self, symbols: List[str]) -> Iterator[Dict[str, int]]:
+        """The assignments sampling tries, in order (drawing advances the RNG)."""
         if len(symbols) > 64:
-            return None
+            return
         special = [0, 1, (1 << 64) - 1, 59, 0x600000]
         for attempt in range(self.sample_attempts):
             env = {}
@@ -223,6 +273,10 @@ class Solver:
                     env[s] = special[attempt]
                 else:
                     env[s] = self._rng.getrandbits(64)
+            yield env
+
+    def _try_sampling(self, conjuncts: List[Bool], symbols: List[str]) -> Optional[Dict[str, int]]:
+        for env in self._samples(symbols):
             try:
                 if all(eval_bool(c, env) for c in conjuncts):
                     return env

@@ -5,33 +5,32 @@ text section starts a window, and two windows one byte apart share all
 but one decode.  Both the syntactic scan and the semantic prefilter
 therefore work over a :class:`DecodeGraph` that decodes each offset of
 the section exactly once and precomputes reachability facts on the
-induced control-flow graph:
+induced control-flow graph.  One reverse BFS computes them all:
 
-* ``dist_to_transfer`` — for every offset, the minimum number of
-  executed instructions (counting the terminator) of any walk that ends
-  at an indirect control transfer, following the *symbolic executor's*
-  successor rules (direct jumps/calls always followed, both sides of a
-  conditional jump explored, ``hlt``/decode-failure dead).  A candidate
-  whose distance exceeds the window budget provably yields only DEAD
-  paths under symbolic execution — the sound cull used by the semantic
-  prefilter (see ``window.py`` for the argument).
-* ``ever_reaches`` — per syntactic-scan configuration, the set of
-  offsets from which *some* walk under the scan's (config-dependent)
-  successor rules reaches an indirect transfer at any depth.  Offsets
-  outside this set make ``syntactic_scan`` return False regardless of
-  its step cap, so the scan can be skipped outright.
+* ``transfer_distances`` — per pair of walk rules (whether direct
+  jumps/calls and the taken sides of conditional jumps are followed),
+  the minimum number of executed instructions, counting the terminator,
+  of any walk from each offset that ends at an indirect control
+  transfer.  ``syntactic_scan`` rejects, without walking, every offset
+  whose distance under its configured rules exceeds its step cap: its
+  bounded DFS can only accept along a walk no longer than the cap.
+* ``dist_to_transfer`` — the same table under the *symbolic executor's*
+  rules (both kinds of edge followed, ``hlt``/decode-failure dead).  A
+  candidate whose distance exceeds the window budget provably yields
+  only DEAD paths under symbolic execution — the sound cull used by the
+  semantic prefilter (see ``window.py`` for the argument).
 """
 
 from __future__ import annotations
 
 import functools
 from collections import deque
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..isa.encoding import DecodeError, decode
 from ..isa.instructions import Instruction, Op
 
-#: Instructions that end a gadget usefully (mirrors gadgets.extract).
+#: Instructions that end a gadget usefully.
 INDIRECT_ENDS = frozenset({Op.RET, Op.JMP_R, Op.JMP_M, Op.CALL_R, Op.SYSCALL})
 
 #: Sentinel distance for "no transfer reachable".
@@ -67,8 +66,7 @@ class DecodeGraph:
             except DecodeError:
                 pass
         self.insns = insns
-        self._dist: Optional[List[int]] = None
-        self._ever_reaches: Dict[Tuple[bool, bool], FrozenSet[int]] = {}
+        self._distances: Dict[Tuple[bool, bool], List[int]] = {}
 
     # -- decoding ---------------------------------------------------------
 
@@ -86,62 +84,69 @@ class DecodeGraph:
         """An address-keyed decode cache (SymbolicExecutor's format)."""
         return {self.base_addr + o: insn for o, insn in enumerate(self.insns)}
 
-    # -- executor-rule successors -----------------------------------------
-
-    def _executor_successors(self, offset: int) -> List[int]:
-        """Offsets a symbolic path at ``offset`` may continue at.
-
-        Over-approximates the executor: both sides of every conditional
-        jump are listed even when the executor would statically resolve
-        one away, and fork budgets are ignored.  Terminators and dead
-        ends have no successors.
-        """
-        insn = self.insns[offset]
-        if insn is None or insn.op in INDIRECT_ENDS or insn.op == Op.HLT:
-            return []
-        base = self.base_addr
-        if insn.op in (Op.JMP_REL, Op.CALL_REL):
-            return [insn.target - base]
-        if insn.is_cond_jump():
-            return [insn.target - base, insn.end - base]
-        return [insn.end - base]
-
     # -- distance to an indirect transfer ---------------------------------
 
-    @property
-    def dist_to_transfer(self) -> List[int]:
-        """Min executed-instruction count to an indirect transfer.
+    def transfer_distances(
+        self, *, merge_direct_jumps: bool, include_conditional: bool
+    ) -> List[int]:
+        """Min executed-instruction count to an indirect transfer, per offset.
 
+        Walks follow the fall-through of every non-terminator, direct
+        jumps/calls only when ``merge_direct_jumps``, and the taken side
+        of a conditional jump only when ``include_conditional``;
+        terminators, ``hlt`` and decode failures have no successors.
         ``dist[o] == 1`` means the instruction at ``o`` *is* a transfer;
         ``dist[o] == k`` means the shortest walk executes ``k``
         instructions ending at one; :data:`UNREACHABLE` means no walk
-        exists.  Computed once by reverse BFS (unit edge weights).
+        exists.  Computed once per rule set by reverse BFS (unit edge
+        weights).
         """
-        if self._dist is None:
-            n = len(self.insns)
-            preds: List[List[int]] = [[] for _ in range(n)]
-            queue: deque = deque()
-            dist = [UNREACHABLE] * n
-            for offset in range(n):
-                insn = self.insns[offset]
-                if insn is None:
-                    continue
-                if insn.op in INDIRECT_ENDS:
-                    dist[offset] = 1
-                    queue.append(offset)
-                    continue
-                for succ in self._executor_successors(offset):
-                    if 0 <= succ < n:
-                        preds[succ].append(offset)
-            while queue:
-                offset = queue.popleft()
-                d = dist[offset]
-                for pred in preds[offset]:
-                    if dist[pred] == UNREACHABLE:
-                        dist[pred] = d + 1
-                        queue.append(pred)
-            self._dist = dist
-        return self._dist
+        key = (merge_direct_jumps, include_conditional)
+        cached = self._distances.get(key)
+        if cached is not None:
+            return cached
+        n = len(self.insns)
+        preds: List[List[int]] = [[] for _ in range(n)]
+        queue: deque = deque()
+        dist = [UNREACHABLE] * n
+        base = self.base_addr
+        for offset in range(n):
+            insn = self.insns[offset]
+            if insn is None or insn.op == Op.HLT:
+                continue
+            if insn.op in INDIRECT_ENDS:
+                dist[offset] = 1
+                queue.append(offset)
+                continue
+            if insn.op in (Op.JMP_REL, Op.CALL_REL):
+                succs = [insn.target - base] if merge_direct_jumps else []
+            elif insn.is_cond_jump() and include_conditional:
+                succs = [insn.target - base, insn.end - base]
+            else:
+                succs = [insn.end - base]
+            for succ in succs:
+                if 0 <= succ < n:
+                    preds[succ].append(offset)
+        while queue:
+            offset = queue.popleft()
+            d = dist[offset] + 1
+            for pred in preds[offset]:
+                if dist[pred] == UNREACHABLE:
+                    dist[pred] = d
+                    queue.append(pred)
+        self._distances[key] = dist
+        return dist
+
+    @property
+    def dist_to_transfer(self) -> List[int]:
+        """:meth:`transfer_distances` under the *symbolic executor's*
+        successor rules: direct jumps/calls always followed and both
+        sides of every conditional jump explored.
+
+        This over-approximates the executor, which may statically
+        resolve a conditional jump to one side and has a fork budget.
+        """
+        return self.transfer_distances(merge_direct_jumps=True, include_conditional=True)
 
     def reaches_transfer_within(self, offset: int, budget: int) -> bool:
         """Can *any* executor walk from ``offset`` end at an indirect
@@ -158,59 +163,3 @@ class DecodeGraph:
             return False
         d = self.dist_to_transfer[offset]
         return d != UNREACHABLE and d <= budget
-
-    # -- syntactic-scan reachability ---------------------------------------
-
-    def ever_reaches(
-        self, *, merge_direct_jumps: bool, include_conditional: bool
-    ) -> FrozenSet[int]:
-        """Offsets from which the syntactic scan's walk rules can reach
-        an indirect transfer at *any* depth.
-
-        The scan follows direct jumps/calls only when
-        ``merge_direct_jumps`` and the taken side of a conditional jump
-        only when ``include_conditional``; its bounded DFS explores a
-        subset of these walks, so membership here is a necessary
-        condition for ``syntactic_scan`` returning True.
-        """
-        key = (merge_direct_jumps, include_conditional)
-        cached = self._ever_reaches.get(key)
-        if cached is not None:
-            return cached
-        n = len(self.insns)
-        preds: List[List[int]] = [[] for _ in range(n)]
-        queue: deque = deque()
-        reached = [False] * n
-        base = self.base_addr
-        for offset in range(n):
-            insn = self.insns[offset]
-            if insn is None:
-                continue
-            if insn.op in INDIRECT_ENDS:
-                reached[offset] = True
-                queue.append(offset)
-                continue
-            if insn.op == Op.HLT:
-                continue
-            succs: List[int] = []
-            if insn.op in (Op.JMP_REL, Op.CALL_REL):
-                if merge_direct_jumps:
-                    succs.append(insn.target - base)
-            elif insn.is_cond_jump():
-                if include_conditional:
-                    succs.append(insn.target - base)
-                succs.append(insn.end - base)
-            else:
-                succs.append(insn.end - base)
-            for succ in succs:
-                if 0 <= succ < n:
-                    preds[succ].append(offset)
-        while queue:
-            offset = queue.popleft()
-            for pred in preds[offset]:
-                if not reached[pred]:
-                    reached[pred] = True
-                    queue.append(pred)
-        result = frozenset(o for o in range(n) if reached[o])
-        self._ever_reaches[key] = result
-        return result

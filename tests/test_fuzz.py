@@ -2,7 +2,8 @@
 
 Covers campaign determinism, every oracle's green path, the injected
 emulator off-by-one being caught and auto-shrunk to a tiny reproducer,
-and the DEC/Jcc carry-flag regression the fuzzer surfaced.
+an injected unsound solver refutation being caught and shrunk, and the
+DEC/Jcc carry-flag regression the fuzzer surfaced.
 """
 
 import json
@@ -15,8 +16,10 @@ from repro.fuzz import (
     case_to_dict,
     check_prefilter,
     check_roundtrip,
+    check_solver,
     check_window,
     gen_bytes,
+    gen_constraints,
     gen_program,
     gen_window,
     load_corpus,
@@ -33,6 +36,8 @@ from repro.isa.encoding import decode_window, encode_program
 from repro.isa.instructions import Instruction, Op
 from repro.isa.registers import MASK64, Reg
 from repro.obfuscation.pipeline import CONFIGS, build_program
+from repro.pipeline import constraints_from_bytes, constraints_to_bytes
+from repro.solver import Solver
 from repro.symex.executor import SymbolicExecutor
 from repro.symex.expr import free_symbols
 
@@ -266,3 +271,58 @@ def test_case_json_roundtrip():
     assert back.oracle == case.oracle
     assert back.configs == case.configs
     assert back.note == "desc"
+
+
+# ---------------------------------------------------------------------------
+# solver oracle
+# ---------------------------------------------------------------------------
+
+
+def _query(seed):
+    import random
+
+    return gen_constraints(random.Random(f"{seed}:solver"))
+
+
+def test_gen_constraints_seed_stable_and_hides_complementary_pairs():
+    assert _query(3) == _query(3)
+    refuted = 0
+    for seed in range(60):
+        query = _query(seed)
+        assert constraints_from_bytes(constraints_to_bytes(query)) == query
+        solver = Solver()
+        solver.check(query)
+        refuted += solver.atom_refutations
+    assert 20 <= refuted < 60  # most queries hide a pair, some do not
+
+
+def test_solver_oracle_green_on_generated_queries():
+    # Seed 0 is left out for time: its direct bit-blast alone takes ~2.5 s.
+    for seed in range(1, 6):
+        assert check_solver(_query(seed)) == []
+
+
+def test_solver_oracle_catches_unsound_refutation(monkeypatch, tmp_path):
+    import repro.solver.solver as solver_mod
+
+    monkeypatch.setattr(solver_mod, "_has_complementary_atoms", lambda conjuncts: True)
+    report = run_fuzz(seed=0, iters=8, oracles=["solver"], corpus_dir=tmp_path)
+    assert report.total_failures > 0
+    for failure in report.failures:
+        assert "direct bit-blast" in failure.messages[0]
+        shrunk = constraints_from_bytes(failure.shrunk.text)
+        assert len(shrunk) <= len(constraints_from_bytes(failure.case.text))
+    for case in load_corpus(tmp_path):
+        assert run_case(case)
+    monkeypatch.undo()
+    for case in load_corpus(tmp_path):
+        assert run_case(case) == []
+
+
+def test_solver_oracle_catches_wrong_model(monkeypatch):
+    monkeypatch.setattr(Solver, "_try_sampling", lambda self, conjuncts, symbols: {})
+    from repro.symex.expr import CmpOp, bv_const, bv_sym, cmp
+
+    query = [cmp(CmpOp.ULT, bv_const(5), bv_sym("rax0"))]
+    assert Solver().check(query).is_sat
+    assert "violates" in check_solver(query)[0]

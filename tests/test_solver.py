@@ -2,9 +2,16 @@
 
 from hypothesis import given, settings, strategies as st
 
+import pytest
+
+import repro.solver.solver as solver_mod
+from repro.obs import metrics
 from repro.solver import Solver, Status
 from repro.symex.expr import (
     MASK64,
+    BoolConn,
+    BoolExpr,
+    Cmp,
     CmpOp,
     bool_or,
     bv_add,
@@ -178,3 +185,69 @@ def test_property_model_satisfies_constraints(a):
     env = dict(result.model)
     for c in constraints:
         assert eval_bool(c, env)
+
+
+# ---------------------------------------------------------------------------
+# complementary-atom refutation
+# ---------------------------------------------------------------------------
+
+Q = bv_udiv(X, Y)
+
+
+def _not(arg):
+    return BoolExpr(BoolConn.NOT, (arg,))
+
+
+COMPLEMENTARY = {
+    "eq_ne": [Cmp(CmpOp.NE, Q, bv_const(0)), Cmp(CmpOp.EQ, Q, bv_const(0))],
+    "eq_ne_swapped": [Cmp(CmpOp.EQ, Q, Z), Cmp(CmpOp.NE, Z, Q)],
+    "eq_eq_not_swapped": [Cmp(CmpOp.EQ, X, bv_mul(Y, Z)), _not(Cmp(CmpOp.EQ, bv_mul(Y, Z), X))],
+    "ult_ule": [Cmp(CmpOp.ULT, X, Y), Cmp(CmpOp.ULE, Y, X)],
+    "slt_sle": [Cmp(CmpOp.SLT, bv_umod(X, Y), Z), Cmp(CmpOp.SLE, Z, bv_umod(X, Y))],
+    "double_not": [_not(_not(Cmp(CmpOp.ULE, X, Y))), _not(Cmp(CmpOp.ULE, X, Y))],
+    "inside_and": [
+        BoolExpr(BoolConn.AND, (Cmp(CmpOp.ULT, Z, bv_const(9)), Cmp(CmpOp.EQ, Q, bv_const(0)))),
+        Cmp(CmpOp.NE, Q, bv_const(0)),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEMENTARY))
+def test_complementary_atoms_refuted_without_bitblasting(name):
+    solver = Solver()
+    before = metrics().counter("solver.atom_refutations").value
+    assert solver.check(COMPLEMENTARY[name]).is_unsat
+    assert solver.atom_refutations == 1 and solver.sat_calls == 0
+    assert metrics().counter("solver.atom_refutations").value == before + 1
+
+
+def test_non_complementary_atoms_are_not_refuted():
+    solver = Solver()
+    # Same operands, but u< and s< are different atoms; x u< y and
+    # y u< x are both strict, so not each other's negation; x u< y and
+    # x u<= y agree.
+    for query in (
+        [Cmp(CmpOp.ULT, X, Y), Cmp(CmpOp.SLE, Y, X)],
+        [Cmp(CmpOp.ULT, X, Y), Cmp(CmpOp.ULT, bv_add(Y, bv_const(5)), X)],
+        [Cmp(CmpOp.ULT, X, Y), Cmp(CmpOp.ULE, X, Y)],
+        [Cmp(CmpOp.SLT, X, Y), Cmp(CmpOp.SLE, X, Y)],
+    ):
+        assert solver.check(query).is_sat
+    assert solver.atom_refutations == 0
+
+
+def test_refutation_leaves_later_models_unchanged(monkeypatch):
+    """A refuted query draws the samples sampling would have drawn, so
+    the models of later queries match a solver that samples and blasts."""
+    queries = [
+        [Cmp(CmpOp.EQ, X, Y), Cmp(CmpOp.NE, Y, X)],
+        [Cmp(CmpOp.ULT, bv_const(0x1000), X), bv_ne(Y, X), bv_ne(Y, bv_const(0))],
+    ]
+    refuting = Solver()
+    models = [refuting.check(q) for q in queries]
+    assert refuting.atom_refutations == 1
+
+    monkeypatch.setattr(solver_mod, "_has_complementary_atoms", lambda conjuncts: False)
+    blasting = Solver()
+    assert [blasting.check(q) for q in queries] == models
+    assert blasting.atom_refutations == 0 and blasting.sat_calls >= 1
