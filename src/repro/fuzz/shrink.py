@@ -12,10 +12,9 @@ only if the original oracle still fails on it):
   bytes) ddmin-style.
 
 Programs shrink by dropping whole source lines, solver queries by
-dropping whole conjuncts.  The shrinker never
-invents inputs: every accepted candidate failed the same oracle, so
-the final case is a true minimal-ish reproducer suitable for the
-regression corpus.
+dropping whole conjuncts.  The shrinker never invents inputs: every
+accepted candidate failed the same oracle, so the final case is a true
+minimal-ish reproducer suitable for the regression corpus.
 """
 
 from __future__ import annotations
