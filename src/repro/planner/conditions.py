@@ -28,13 +28,16 @@ from ..solver.solver import Solver
 from ..symex.expr import (
     BV,
     BVConst,
+    BVSym,
     Bool,
+    BoolConst,
     bv_const,
     bv_eq,
     bv_sym,
     free_symbols,
     substitute,
 )
+from ..symex.invert import solve_for
 from ..symex.state import is_controlled_symbol
 from ..gadgets.record import GadgetRecord
 
@@ -116,8 +119,6 @@ def regress_equation(
         return None
     # Fast path: a single-variable invertible chain needs no solver.
     if len(syms) == 1:
-        from ..symex.invert import solve_for
-
         inverted = solve_for(expr, target)
         if inverted is not None:
             name, value = inverted
@@ -146,8 +147,6 @@ def regress_equation(
         regressed.append(RegCondition(reg=_reg_from_symbol(name), value=value))
     residual = substitute(equation, reg_subst)
     bindings: List[Bool] = []
-    from ..symex.expr import BoolConst
-
     if isinstance(residual, BoolConst):
         if not residual.value:
             return None
@@ -183,8 +182,6 @@ def discharge_preconditions(
         reg_subst[name] = bv_const(value)
         regressed.append(RegCondition(reg=_reg_from_symbol(name), value=value))
     bindings = []
-    from ..symex.expr import BoolConst
-
     for c in gadget.pre_cond:
         residual = substitute(c, reg_subst)
         if isinstance(residual, BoolConst):
@@ -221,13 +218,7 @@ def provide_reg_condition(
     pre = discharge_preconditions(gadget, solver)
     if pre is None:
         return None
-    merged = provision.merged_with(pre)
-    # A gadget cannot regress a condition onto a register it needs at
-    # entry equal to something it also claims to provide differently.
-    for rc in merged.regressed:
-        if rc.reg == cond.reg and gadget.post_regs[cond.reg] == bv_const(cond.value):
-            continue
-    return merged
+    return provision.merged_with(pre)
 
 
 def _provide_via_known_bytes(
@@ -239,8 +230,6 @@ def _provide_via_known_bytes(
 ) -> Optional[Provision]:
     """Data-reuse: make a wild-load post-value equal ``target`` by
     steering the load address at known image bytes."""
-    from ..symex.expr import BVSym
-
     if not isinstance(post, BVSym) or not post.name.startswith("mem"):
         return None
     read = next(

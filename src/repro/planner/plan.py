@@ -1,12 +1,20 @@
 """Partial plan representation — the paper's (α, β, γ, δ, ε) tuple.
 
 * α — :attr:`PartialPlan.steps`: gadget instances selected so far;
-* β — :attr:`PartialPlan.orderings`: pairs (before, after);
+* β — :attr:`PartialPlan.orderings`: pairs (before, after), kept
+  together with their transitive closure, so "must s come before t?"
+  is a set lookup;
 * γ — :attr:`PartialPlan.links`: causal links (provider, consumer, condition);
 * δ — :attr:`PartialPlan.open_conds`: conditions not yet fulfilled;
 * ε — threats are resolved eagerly on every mutation (promotion /
   demotion, Sec. IV-D "Unsafe Causal Link Elimination"); a plan that
   cannot resolve a threat is discarded by returning ``None``.
+
+A mutation returns a fresh plan and leaves its parent as it was.  It
+pays only for what it adds: the ordering closure gains the new edge,
+the threat scan visits only the pairs the new step or link creates
+(:meth:`PartialPlan.resolve_threats` says why that is exact), and the
+constraint load gains the size of the new bindings.
 """
 
 from __future__ import annotations
@@ -66,6 +74,17 @@ class PartialPlan:
     #: Step that must immediately precede the goal (indirect connector).
     immediate_pre_goal: Optional[int] = None
     _next_sid: int = 1
+    #: Transitive closure of β: sid → the steps strictly after it.
+    #: Derived from ``orderings`` when not given.
+    _after: Optional[Dict[int, FrozenSet[int]]] = None
+    #: :meth:`constraint_load`, kept up to date; derived when not given.
+    _load: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self._after is None:
+            self._after = _closure(self.steps, self.orderings)
+        if self._load is None:
+            self._load = sum(_size(cs) for cs in self.bindings.values())
 
     # -- constructors -----------------------------------------------------
 
@@ -98,32 +117,26 @@ class PartialPlan:
             bindings=dict(self.bindings),
             immediate_pre_goal=self.immediate_pre_goal,
             _next_sid=self._next_sid,
+            _after=dict(self._after),
+            _load=self._load,
         )
 
     # -- ordering machinery ------------------------------------------------
 
-    def _reachable(self, orderings: FrozenSet[Tuple[int, int]], src: int, dst: int) -> bool:
-        """Is dst reachable from src via ordering edges?"""
-        if src == dst:
-            return True
-        adjacency: Dict[int, List[int]] = {}
-        for a, b in orderings:
-            adjacency.setdefault(a, []).append(b)
-        stack = [src]
-        seen = {src}
-        while stack:
-            node = stack.pop()
-            for nxt in adjacency.get(node, ()):
-                if nxt == dst:
-                    return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return False
-
     def can_order(self, before: int, after: int) -> bool:
         """Would adding before<after keep the orderings acyclic?"""
-        return not self._reachable(self.orderings, after, before)
+        return before != after and before not in self._after[after]
+
+    def _order(self, before: int, after: int) -> None:
+        """Add before<after to β and to its closure, in place.
+
+        Only for a plan no one else holds yet (a fresh clone)."""
+        self.orderings = self.orderings | {(before, after)}
+        closure = self._after
+        later = closure[after] | {after}
+        for sid, succ in closure.items():
+            if (sid == before or before in succ) and not later <= succ:
+                closure[sid] = succ | later
 
     def with_ordering(self, before: int, after: int) -> Optional["PartialPlan"]:
         if (before, after) in self.orderings:
@@ -131,58 +144,66 @@ class PartialPlan:
         if not self.can_order(before, after):
             return None
         new = self.clone()
-        new.orderings = self.orderings | {(before, after)}
+        new._order(before, after)
         return new
 
     def possibly_between(self, step: int, before: int, after: int) -> bool:
         """Could ``step`` be linearized strictly between before and after?"""
         if step in (before, after):
             return False
-        if self._reachable(self.orderings, step, before):
+        if before in self._after[step]:
             return False  # step must come before `before`
-        if self._reachable(self.orderings, after, step):
+        if step in self._after[after]:
             return False  # step must come after `after`
         return True
 
     # -- threat resolution ----------------------------------------------------
 
-    def resolve_threats(self) -> Optional["PartialPlan"]:
-        """Order away every unsafe causal link (ε elimination).
+    def resolve_threats(self, new_step: Optional[int], new_link: bool) -> Optional["PartialPlan"]:
+        """Order away every unsafe causal link (ε elimination), in place.
 
-        For each link p --[reg]--> c and each step s ∉ {p, c} that
-        clobbers reg and could sit between them, force s<p (promotion)
-        or c<s (demotion).  Deterministic preference: demotion first.
-        Returns None when a threat cannot be resolved.
+        A link p --[reg]--> c is threatened by a step s ∉ {p, c} that
+        clobbers reg and could sit between them.  The threat is resolved
+        by forcing c<s (demotion) or else s<p (promotion); a threat that
+        allows neither kills the plan, and None is returned.
+
+        Only the pairs the last mutation created are visited: each link
+        with ``new_step`` (a step just added, or None), and the last link
+        (when ``new_link``) with each step.  The new step is the last in
+        :attr:`steps` and the new link the last in :attr:`links`, so
+        this is the (link, step) order a full scan visits them in.  That
+        is exact.  The plan was grown from a threat-free one, as every
+        plan this module returns is, and a mutation only adds orderings,
+        which can only shrink :meth:`possibly_between`: a pair that was
+        safe stays safe.  For the same reason a pair stays resolved once
+        it is, so one pass makes the same resolutions, in the same order,
+        as rescanning every pair from the start after each of them.
+        Call it on a fresh plan only.
         """
-        plan: Optional[PartialPlan] = self
-        changed = True
-        while changed and plan is not None:
-            changed = False
-            for link in plan.links:
-                if not isinstance(link.condition, RegCondition):
-                    continue
-                reg = link.condition.reg
-                for sid, step in plan.steps.items():
-                    if sid in (link.provider, link.consumer):
-                        continue
-                    if not step.clobbers(reg):
-                        continue
-                    if not plan.possibly_between(sid, link.provider, link.consumer):
-                        continue
-                    demoted = plan.with_ordering(link.consumer, sid)
-                    if demoted is not None:
-                        plan = demoted
-                        changed = True
-                        break
-                    promoted = plan.with_ordering(sid, link.provider)
-                    if promoted is not None:
-                        plan = promoted
-                        changed = True
-                        break
-                    return None  # unresolvable threat → dead plan
-                if changed:
-                    break
-        return plan
+        links = self.links
+        if new_step is not None:
+            for link in links[:-1] if new_link else links:
+                if not self._guard(link, new_step):
+                    return None
+        if new_link:
+            for sid in self.steps:
+                if not self._guard(links[-1], sid):
+                    return None
+        return self
+
+    def _guard(self, link: CausalLink, sid: int) -> bool:
+        """Resolve any threat of step ``sid`` to ``link``; False if it cannot be."""
+        if not self.steps[sid].clobbers(link.condition.reg):
+            return True
+        if not self.possibly_between(sid, link.provider, link.consumer):
+            return True
+        if self.can_order(link.consumer, sid):
+            self._order(link.consumer, sid)  # demotion
+        elif self.can_order(sid, link.provider):
+            self._order(sid, link.provider)  # promotion
+        else:
+            return False
+        return True
 
     # -- step addition ------------------------------------------------------------
 
@@ -198,8 +219,10 @@ class PartialPlan:
         sid = new._next_sid
         new._next_sid += 1
         new.steps[sid] = Step(sid=sid, gadget=gadget)
-        new.orderings = new.orderings | {(sid, open_cond.consumer)}
-        if isinstance(open_cond.condition, RegCondition):
+        new._after[sid] = frozenset()
+        new._order(sid, open_cond.consumer)
+        new_link = isinstance(open_cond.condition, RegCondition)
+        if new_link:
             new.links = new.links + (
                 CausalLink(provider=sid, consumer=open_cond.consumer, condition=open_cond.condition),
             )
@@ -207,7 +230,8 @@ class PartialPlan:
             OpenCondition(sid, rc) for rc in regressed
         )
         new.bindings[sid] = tuple(bindings)
-        return new.resolve_threats()
+        new._load += _size(bindings)
+        return new.resolve_threats(sid, new_link)
 
     def reuse_provider_step(
         self,
@@ -223,11 +247,12 @@ class PartialPlan:
         several conditions from one step: each reuse may contribute
         further payload bindings and regress further entry conditions.
         """
-        ordered = self.with_ordering(sid, open_cond.consumer)
-        if ordered is None:
+        if not self.can_order(sid, open_cond.consumer):
             return None
-        new = ordered.clone()
-        if isinstance(open_cond.condition, RegCondition):
+        new = self.clone()
+        new._order(sid, open_cond.consumer)
+        new_link = isinstance(open_cond.condition, RegCondition)
+        if new_link:
             new.links = new.links + (
                 CausalLink(provider=sid, consumer=open_cond.consumer, condition=open_cond.condition),
             )
@@ -236,7 +261,8 @@ class PartialPlan:
         )
         if extra_bindings:
             new.bindings[sid] = tuple(new.bindings.get(sid, ())) + tuple(extra_bindings)
-        return new.resolve_threats()
+            new._load += _size(extra_bindings)
+        return new.resolve_threats(None, new_link)
 
     def established_at(self, sid: int) -> Dict[Reg, int]:
         """Register values already demanded at step ``sid``'s entry."""
@@ -261,10 +287,7 @@ class PartialPlan:
 
     def constraint_load(self) -> int:
         """Total constraint size — the paper's second heuristic key."""
-        total = 0
-        for constraints in self.bindings.values():
-            total += sum(expr_size(c) for c in constraints)
-        return total
+        return self._load
 
     def priority_key(self) -> Tuple[int, int, int]:
         """Heuristic ordering: fewest open conditions, then fewest/simplest
@@ -313,3 +336,27 @@ class PartialPlan:
             if order[-2] != self.immediate_pre_goal:
                 return None
         return order
+
+
+def _size(constraints) -> int:
+    return sum(expr_size(c) for c in constraints)
+
+
+def _closure(
+    steps: Dict[int, Step], orderings: FrozenSet[Tuple[int, int]]
+) -> Dict[int, FrozenSet[int]]:
+    """sid → every step reachable from it along ``orderings``."""
+    successors: Dict[int, Set[int]] = {sid: set() for sid in steps}
+    for a, b in orderings:
+        successors.setdefault(a, set()).add(b)
+    closure: Dict[int, FrozenSet[int]] = {}
+    for sid, direct in successors.items():
+        seen: Set[int] = set()
+        stack = list(direct)
+        while stack:
+            node = stack.pop()
+            if node not in seen:
+                seen.add(node)
+                stack.extend(successors.get(node, ()))
+        closure[sid] = frozenset(seen)
+    return closure

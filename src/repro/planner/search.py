@@ -6,6 +6,12 @@ successor per provider (existing step or fresh gadget), discard plans
 with unsatisfiable constraints or unresolvable threats, output complete
 plans, keep going until the queue empties or budgets run out — the
 paper's planner "does not stop when finding one gadget chain".
+
+The same (gadget, condition) question comes up again and again across
+sibling plans, so one search asks it once: :class:`_Provisions` keeps
+each answer for the rest of the search.  Plans carry their ordering
+closure and constraint load with them (see :mod:`repro.planner.plan`),
+so pushing and expanding a plan costs what the plan adds, not its size.
 """
 
 from __future__ import annotations
@@ -13,17 +19,22 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
+from ..gadgets.record import GadgetRecord
+from ..isa.registers import reg_by_name
 from ..obs import span
 from ..solver.solver import Solver
+from ..symex.expr import BVSym
 from .conditions import (
     MemCondition,
+    Provision,
     RegCondition,
     discharge_preconditions,
     provide_mem_condition,
     provide_reg_condition,
     regress_equation,
+    target_provision,
 )
 from .goals import ResolvedGoal
 from .library import ChainKind, GadgetLibrary
@@ -48,6 +59,43 @@ class SearchStats:
     plans_emitted: int = 0
     dead_ends: int = 0
     seeds: int = 0
+
+
+class _Provisions:
+    """One search's answers to "can this gadget provide this condition?".
+
+    Maps (gadget, condition) to the result of
+    :func:`~repro.planner.conditions.provide_reg_condition` or
+    :func:`~repro.planner.conditions.provide_mem_condition`, which the
+    caller must not mutate.  Asking again gives what asking the solver
+    again would: a repeat query is a hit in the solver's own memo, which
+    returns the first model and draws nothing from its RNG (so every
+    later model is unchanged too), as long as that memo is not cleared
+    at its ``memo_limit`` in between.  Gadgets are keyed by identity
+    (records are unhashable); the library holds every one of them for
+    the whole search.  ``misses`` counts the questions actually worked
+    out.
+    """
+
+    def __init__(self, solver: Solver, locator=None) -> None:
+        self.solver = solver
+        self.locator = locator
+        self.misses = 0
+        self._memo: Dict[Tuple[int, object], Optional[Provision]] = {}
+
+    def __call__(self, gadget: GadgetRecord, condition) -> Optional[Provision]:
+        key = (id(gadget), condition)
+        try:
+            return self._memo[key]
+        except KeyError:
+            pass
+        self.misses += 1
+        if isinstance(condition, RegCondition):
+            result = provide_reg_condition(gadget, condition, self.solver, locator=self.locator)
+        else:
+            result = provide_mem_condition(gadget, condition, self.solver)
+        self._memo[key] = result
+        return result
 
 
 def _seed_plans(
@@ -105,6 +153,7 @@ def search_plans(
     config = config or PlannerConfig()
     stats = stats if stats is not None else SearchStats()
 
+    provide = _Provisions(solver, locator)
     counter = itertools.count()
     queue: List = []
 
@@ -131,7 +180,7 @@ def search_plans(
                 continue
             stats.nodes_expanded += 1
             open_cond = plan.open_conds[0]
-            successors = list(_expand(plan, open_cond, library, solver, config, locator))
+            successors = list(_expand(plan, open_cond, library, config, provide))
             if not successors:
                 stats.dead_ends += 1
             for successor in successors:
@@ -139,6 +188,7 @@ def search_plans(
     finally:
         search_sp.add("seeds", stats.seeds)
         search_sp.add("nodes_expanded", stats.nodes_expanded)
+        search_sp.add("provisions", provide.misses)
         search_sp.add("plans_emitted", stats.plans_emitted)
         search_sp.add("dead_ends", stats.dead_ends)
         search_sp.__exit__(None, None, None)
@@ -148,15 +198,14 @@ def _expand(
     plan: PartialPlan,
     open_cond: OpenCondition,
     library: GadgetLibrary,
-    solver: Solver,
     config: PlannerConfig,
-    locator=None,
+    provide: _Provisions,
 ) -> Iterator[PartialPlan]:
     condition = open_cond.condition
     if isinstance(condition, RegCondition):
-        yield from _expand_reg(plan, open_cond, condition, library, solver, config, locator)
+        yield from _expand_reg(plan, open_cond, condition, library, config, provide)
     elif isinstance(condition, MemCondition):
-        yield from _expand_mem(plan, open_cond, condition, library, solver, config)
+        yield from _expand_mem(plan, open_cond, condition, library, config, provide)
     else:  # pragma: no cover - no other condition kinds
         raise AssertionError(condition)
 
@@ -166,9 +215,8 @@ def _expand_reg(
     open_cond: OpenCondition,
     condition: RegCondition,
     library: GadgetLibrary,
-    solver: Solver,
     config: PlannerConfig,
-    locator=None,
+    provide: _Provisions,
 ) -> Iterator[PartialPlan]:
     # (a) Reuse an existing step: either it already yields the value
     # (constant post), or it can be *made* to yield it by regressing
@@ -179,7 +227,7 @@ def _expand_reg(
             continue
         if condition.reg not in step.gadget.clob_regs:
             continue
-        provision = provide_reg_condition(step.gadget, condition, solver, locator=locator)
+        provision = provide(step.gadget, condition)
         if provision is None:
             continue
         already = plan.established_at(sid)
@@ -208,7 +256,7 @@ def _expand_reg(
                 continue
             if open_cond.consumer != GOAL_STEP:
                 continue  # connectors only wire directly into the goal
-        provision = provide_reg_condition(gadget, condition, solver, locator=locator)
+        provision = provide(gadget, condition)
         if provision is None:
             continue
         regressed = list(provision.regressed)
@@ -216,17 +264,11 @@ def _expand_reg(
         if kind is ChainKind.CONNECTOR:
             # The connector's indirect jump must land on the goal gadget.
             goal_gadget = plan.steps[GOAL_STEP].gadget
-            from .conditions import target_provision
-
-            tp = target_provision(gadget, goal_gadget.location, solver)
+            tp = target_provision(gadget, goal_gadget.location, provide.solver)
             if tp is None:
                 # Target depends on a register: regress it as a condition.
-                from ..symex.expr import BVSym
-
                 target = gadget.jump_target
                 if isinstance(target, BVSym) and target.name.endswith("0"):
-                    from ..isa.registers import reg_by_name
-
                     regressed.append(
                         RegCondition(reg=reg_by_name(target.name[:-1]), value=goal_gadget.location)
                     )
@@ -249,8 +291,8 @@ def _expand_mem(
     open_cond: OpenCondition,
     condition: MemCondition,
     library: GadgetLibrary,
-    solver: Solver,
     config: PlannerConfig,
+    provide: _Provisions,
 ) -> Iterator[PartialPlan]:
     if plan.num_steps >= config.max_steps:
         return
@@ -260,7 +302,7 @@ def _expand_mem(
             break
         if library.kind_of(gadget) is ChainKind.CONNECTOR:
             continue  # keep write steps freely orderable
-        provision = provide_mem_condition(gadget, condition, solver)
+        provision = provide(gadget, condition)
         if provision is None:
             continue
         successor = plan.add_provider_step(

@@ -16,11 +16,15 @@ from repro.bench.harness import (
     format_table4,
     format_table5,
     format_table7,
+    pipeline_benchmark,
     run_tool,
     table1_type_counts,
     table5_chain_properties,
 )
+from repro.bench.netperf import netperf_image
 from repro.gadgets.record import JmpType
+from repro.obfuscation.pipeline import CONFIGS
+from repro.staticanalysis.decode_graph import shared_decode_graph
 
 
 def test_build_caches():
@@ -109,3 +113,14 @@ def test_format_table7():
 
 def test_verify_semantics_quick():
     assert harness.verify_semantics("bigint_add", "substitution")
+
+
+def test_pipeline_benchmark_cold_run_decodes_afresh(tmp_path):
+    """A graph left in the process-wide cache (say, by Table VII) must
+    not make the "cold" run cheaper than a cold run is."""
+    text = netperf_image(CONFIGS["llvm_obf"], seed=harness.DEFAULT_SEED).image.text
+    shared_decode_graph(text.data, text.addr)
+    result = pipeline_benchmark(cache_dir=tmp_path)
+    # Only the cold run decodes; it must not have found the graph cached.
+    assert shared_decode_graph.cache_info().hits == 0
+    assert result["cache"]["warm_identical"]
